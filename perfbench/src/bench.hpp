@@ -17,8 +17,10 @@ namespace perfbench {
 /// Set-up is timed this many times per run and setup_s is the median. The
 /// repetitions are spread across the untraced pass, outside the timed
 /// sections, so the median samples the host across the run rather than
-/// within one burst of a few milliseconds.
-inline constexpr std::size_t kSetupRepeats = 15;
+/// within one burst of a few milliseconds. On a shared host one set-up
+/// reads about 0.9 or about 1.4 ms depending on the moment, so the median
+/// needs many samples to settle.
+inline constexpr std::size_t kSetupRepeats = 45;
 
 /// Command-line settings of one benchmark run.
 struct Config {
@@ -65,6 +67,10 @@ struct Pass {
   std::vector<Window> windows;
   std::vector<Readback> readbacks;
   double timed_s = 0.0;       ///< Sum of the timed sections.
+  /// Peak resident set (MiB) of each timed job (served-wire: of each
+  /// slice of the loop between two set-up repeats); peak_rss_mb is the
+  /// median.
+  std::vector<double> peak_rss_mib;
   std::uint64_t specs = 0;    ///< Totals over the pass.
   std::uint64_t shots = 0;
   /// Layer counters that spans cannot give (ratios, bytes, busy times).
@@ -78,6 +84,7 @@ struct Outcome {
   Pass untraced;
   Pass traced;                  ///< Only with --trace 1.
   std::vector<Span> spans;      ///< Only with --trace 1.
+  std::vector<Span> setup_spans;  ///< Only with --trace 1.
   /// Per-layer metrics set from the traced pass (unset ones read 0: the
   /// workload bypasses that layer).
   std::map<std::string, double> layers;
@@ -96,6 +103,18 @@ Outcome run_served_wire(const Config& config);
 
 /// Whole file as bytes ("" when unreadable).
 [[nodiscard]] std::string slurp(const std::string& path);
+
+/// Returns the heap's free memory to the system (glibc `malloc_trim`; a
+/// no-op elsewhere), so that the resident set holds live memory only.
+void trim_heap();
+
+/// Resets the process's peak resident set (VmHWM) to its current resident
+/// set, so that peak_rss_mib() reads the peak since this call. Linux only;
+/// elsewhere, and on kernels before 4.0, the peak is not reset.
+void reset_peak_rss();
+
+/// Peak resident set (VmHWM) in MiB since the last reset_peak_rss().
+[[nodiscard]] double peak_rss_mib();
 
 /// `workdir/name`.
 [[nodiscard]] std::string work_path(const Config& config,

@@ -1,5 +1,10 @@
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench.hpp"
 #include "ptsbe/circuit/circuit.hpp"
@@ -27,6 +32,25 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
+}
+
+void trim_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+void reset_peak_rss() {
+  std::ofstream("/proc/self/clear_refs") << "5";
+}
+
+double peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0)
+      return std::stod(line.substr(6)) / 1024.0;  // kB
+  return 0.0;
 }
 
 std::string work_path(const Config& config, const std::string& name) {

@@ -13,22 +13,17 @@
 // report. The exit code is nonzero when any output check failed.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench.hpp"
 #include "ptsbe/kernels/kernel_set.hpp"
@@ -70,6 +65,8 @@ const std::vector<std::pair<std::string, std::string>>& layer_metrics() {
       {"serve.job_latency_ms", "ms"},
       {"serve.plan_cache_hit_rate", "ratio"},
       {"serve.queue_high_water", "count"},
+      {"serve.idle_job_ms", "ms"},
+      {"serve.idle_big_job_ms", "ms"},
       {"net.job_latency_ms", "ms"},
       {"net.overhead_ms", "ms"},
       {"net.batches_per_job", "count"},
@@ -79,58 +76,6 @@ const std::vector<std::pair<std::string, std::string>>& layer_metrics() {
   };
   return names;
 }
-
-/// Samples the resident set every 10 ms on its own thread.
-class RssSampler {
- public:
-  RssSampler() : thread_([this] { loop(); }) {}
-  ~RssSampler() { finish(); }
-  RssSampler(const RssSampler&) = delete;
-  RssSampler& operator=(const RssSampler&) = delete;
-
-  /// Stop sampling. Peak RSS, reported as the median over one-second
-  /// windows of each window's highest sample: a single process-wide
-  /// maximum depends on how many forked states happened to be live at
-  /// one instant, which varies from run to run.
-  double peak_mib() {
-    finish();
-    std::map<std::int64_t, double> window_max;
-    for (const auto& [t, mib] : samples_) {
-      double& peak = window_max[(t - samples_.front().first) / 1000000000];
-      peak = std::max(peak, mib);
-    }
-    std::vector<double> peaks;
-    for (const auto& [window, peak] : window_max) peaks.push_back(peak);
-    return median(std::move(peaks));
-  }
-
- private:
-  static double resident_mib() {
-    std::ifstream statm("/proc/self/statm");
-    double size = 0.0, resident = 0.0;
-    statm >> size >> resident;
-    return resident * static_cast<double>(sysconf(_SC_PAGESIZE)) /
-           (1024.0 * 1024.0);
-  }
-
-  void loop() {
-    while (!stop_.load()) {
-      samples_.emplace_back(now_ns(), resident_mib());
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    samples_.emplace_back(now_ns(), resident_mib());
-  }
-
-  void finish() {
-    stop_ = true;
-    if (thread_.joinable()) thread_.join();
-  }
-
-  std::atomic<bool> stop_{false};
-  /// Written by the sampling thread only; read after it is joined.
-  std::vector<std::pair<std::int64_t, double>> samples_;
-  std::thread thread_;
-};
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -162,8 +107,7 @@ double readback_rate(const Pass& pass) {
   return median(std::move(rates));
 }
 
-std::vector<Metric> end_to_end(const Outcome& out, const Pass& pass,
-                               double rss) {
+std::vector<Metric> end_to_end(const Outcome& out, const Pass& pass) {
   const Tail tail = tail_percentile(pass.job_s);
   return {
       {"setup_s", median(out.setup_s), "s"},
@@ -173,7 +117,7 @@ std::vector<Metric> end_to_end(const Outcome& out, const Pass& pass,
       {"jobs_per_s", rate(pass, &Window::jobs), "jobs/s"},
       {"job_latency_p50_ms", median(pass.job_s) * 1e3, "ms"},
       {"job_latency_tail_ms", tail.value * 1e3, "ms"},
-      {"peak_rss_mb", rss, "MiB"},
+      {"peak_rss_mb", median(pass.peak_rss_mib), "MiB"},
   };
 }
 
@@ -268,9 +212,7 @@ int run(int argc, char** argv) {
 
   config.workdir += "/" + config.workload + "-" + std::to_string(config.seed);
   std::filesystem::create_directories(config.workdir);
-  RssSampler sampler;
   const Outcome out = workload->second(config);
-  const double rss = sampler.peak_mib();
   std::filesystem::remove_all(config.workdir);
 
   std::printf("perfbench %s seed=%llu seconds=%g trace=%d%s\n",
@@ -293,12 +235,12 @@ int run(int argc, char** argv) {
   std::printf("setup samples (s):");
   for (const double t : out.setup_s) std::printf(" %.6f", t);
   std::printf("\n");
-  const std::vector<Metric> untraced = end_to_end(out, out.untraced, rss);
+  const std::vector<Metric> untraced = end_to_end(out, out.untraced);
   print_metrics("end-to-end (tracing off)", untraced);
   print_tail(out.untraced);
   std::vector<Metric> metrics = untraced;
   if (config.trace) {
-    print_metrics("end-to-end (traced pass)", end_to_end(out, out.traced, rss));
+    print_metrics("end-to-end (traced pass)", end_to_end(out, out.traced));
     print_tail(out.traced);
     print_accounting(out.spans);
     std::map<std::string, double> layers = out.layers;

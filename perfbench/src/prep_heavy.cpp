@@ -19,14 +19,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench.hpp"
-#include "ptsbe/core/batched_execution.hpp"
+#include "local.hpp"
 #include "ptsbe/core/dataset.hpp"
-#include "ptsbe/core/pipeline.hpp"
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/stats/compare.hpp"
 #include "ptsbe/stats/dataset_reader.hpp"
@@ -102,140 +100,87 @@ std::string dataset_bytes(const Config& config, const std::string& name,
   return bytes;
 }
 
-Pass measure(const Config& config, const Sizes& sizes,
-             const Prepared& prepared, const be::Options& base, Tracer& tracer,
-             Outcome& out, const std::function<void()>& between_jobs) {
-  Pass pass;
-  std::uint64_t prepare_ns = 0, sample_ns = 0, execute_ns = 0;
-  std::uint64_t draws = 0, dataset_bytes_total = 0, distinct = 0;
-  for (std::size_t job = 0;
-       pass.timed_s < config.seconds || pass.job_s.size() < sizes.min_jobs;
-       ++job) {
-    const std::string path = work_path(config, "prep-shard.ptsb");
-    pts::StrategyConfig strategy;
-    strategy.nsamples = sizes.nsamples;
-    strategy.nshots = sizes.nshots;
-    be::Options options = base;
-    options.seed = mix_seed(config.seed, job + 1);
-    const Pipeline pipeline = Pipeline(prepared.noisy)
-                                  .strategy("probabilistic", strategy)
-                                  .seed(options.seed);
-    std::vector<TrajectorySpec> specs;
-    stats::ShotTable sink_table;
-    std::vector<std::size_t> arrivals;
-    std::uint64_t job_shots = 0;
-    bool job_ok = true;
-    const std::int64_t start = now_ns();
-    try {
-      Scope lane(tracer, "bench.job");
-      dataset::StreamWriter writer(path);
-      {
-        Scope s(tracer, "pts.sample");
-        specs = pipeline.sample();
-      }
-      arrivals.assign(specs.size(), 0);
-      const std::int64_t exec_start = now_ns();
-      be::StreamSummary summary;
-      {
-        Scope s(tracer, "be.execute");
-        summary = be::execute_streaming(
-            prepared.noisy, specs, options, [&](be::TrajectoryBatch&& batch) {
-              Scope sink(tracer, "sink.batch");
-              {
-                Scope a(tracer, "dataset.append");
-                writer.append(batch);
-              }
-              Scope t(tracer, "stats.add_batch");
-              sink_table.add_batch(batch);
-              if (batch.spec_index < arrivals.size())
-                ++arrivals[batch.spec_index];
-            });
-      }
-      execute_ns += static_cast<std::uint64_t>(now_ns() - exec_start);
-      {
-        Scope s(tracer, "dataset.close");
-        writer.close();
-      }
-      prepare_ns += static_cast<std::uint64_t>(summary.prepare_seconds * 1e9);
-      sample_ns += static_cast<std::uint64_t>(summary.sample_seconds * 1e9);
-      dataset_bytes_total += writer.bytes_written();
-      job_shots = summary.total_shots;
-    } catch (const std::exception& e) {
-      out.notes.push_back(std::string("job failed: ") + e.what());
-      job_ok = false;
-    }
-    const double latency = seconds_since(start);
-    pass.timed_s += latency;
-    pass.job_s.push_back(latency);
-    pass.windows.push_back({latency, static_cast<double>(specs.size()),
-                            static_cast<double>(job_shots), 1.0});
-    pass.specs += specs.size();
-    pass.shots += job_shots;
-    draws += sizes.nsamples;
-    out.jobs.add(job_ok);
-    for (const std::size_t seen : arrivals) out.batches.add(seen == 1);
-    if (!job_ok) continue;
+/// Per job: one dataset shard and the sink-built table. The checks read
+/// the shard back and re-run its leading specs on one thread.
+class PrepSink final : public JobSink {
+ public:
+  PrepSink(const Config& config, const Prepared& prepared,
+           const be::Options& base, Tracer& tracer)
+      : config_(config),
+        prepared_(prepared),
+        base_(base),
+        tracer_(tracer),
+        path_(work_path(config, "prep-shard.ptsb")),
+        writer_(path_) {}
 
-    // Read-back check: the file holds exactly what the sink saw.
+  void consume(be::TrajectoryBatch&& batch) override {
+    {
+      Scope a(tracer_, "dataset.append");
+      writer_.append(batch);
+    }
+    Scope t(tracer_, "stats.add_batch");
+    sink_table_.add_batch(batch);
+  }
+
+  void finish(const LocalJob& job, Pass&) override {
+    {
+      Scope s(tracer_, "dataset.close");
+      writer_.close();
+    }
+    bytes = writer_.bytes_written();
+    shots = job.summary.total_shots;
+  }
+
+  void check(const LocalJob& job, Pass& pass, Outcome& out) override {
+    // Read-back: the file holds exactly what the sink saw.
     const std::int64_t read_start = now_ns();
     stats::ShotTable file_table;
     stats::Comparison cmp;
     {
-      Scope s(tracer, "stats.table");
-      file_table = stats::table_of_file(path);
+      Scope s(tracer_, "stats.table");
+      file_table = stats::table_of_file(path_);
     }
     {
-      Scope s(tracer, "stats.compare");
-      cmp = stats::compare(file_table, sink_table);
+      Scope s(tracer_, "stats.compare");
+      cmp = stats::compare(file_table, sink_table_);
     }
     pass.readbacks.push_back({file_table.total(), seconds_since(read_start)});
-    distinct += file_table.distinct();
-    out.check(cmp.exact_match() && file_table == sink_table,
+    distinct = file_table.distinct();
+    out.check(cmp.exact_match() && file_table == sink_table_,
               "prep-heavy: shard read back differs from the sink's records");
 
-    // Determinism check: a 1-thread independent re-run of the leading
-    // specs reproduces the shard's bytes.
-    if (job % kRerunEvery == 0) {
-      const std::size_t k = std::min(kRerunSpecs, specs.size());
-      be::Options serial = base;
-      serial.seed = options.seed;
-      serial.threads = 1;
-      serial.schedule = be::Schedule::kIndependent;
-      serial.plan = nullptr;
-      const be::Result rerun = be::execute(
-          prepared.noisy,
-          std::vector<TrajectorySpec>(specs.begin(), specs.begin() + k),
-          serial);
-      out.check(dataset_bytes(config, "rerun.ptsb", rerun.batches) ==
-                    dataset_bytes(config, "leading.ptsb",
-                                  leading_batches(path, k)),
-                "prep-heavy: 1-thread re-run is not byte-identical");
-    }
-    std::remove(path.c_str());
-    between_jobs();
+    // Determinism: a 1-thread independent re-run of the leading specs
+    // reproduces the shard's bytes.
+    if (job.index % kRerunEvery != 0) return;
+    const std::size_t k = std::min(kRerunSpecs, job.specs.size());
+    be::Options serial = base_;
+    serial.seed = job.options.seed;
+    serial.threads = 1;
+    serial.schedule = be::Schedule::kIndependent;
+    serial.plan = nullptr;
+    const be::Result rerun = be::execute(
+        prepared_.noisy,
+        std::vector<TrajectorySpec>(job.specs.begin(), job.specs.begin() + k),
+        serial);
+    out.check(dataset_bytes(config_, "rerun.ptsb", rerun.batches) ==
+                  dataset_bytes(config_, "leading.ptsb",
+                                leading_batches(path_, k)),
+              "prep-heavy: 1-thread re-run is not byte-identical");
   }
-  const double jobs = static_cast<double>(pass.job_s.size());
-  const unsigned n = prepared.noisy.num_qubits();
-  const double workers = static_cast<double>(base.threads);
-  pass.counters["pts.accept_ratio"] =
-      draws > 0 ? static_cast<double>(pass.specs) / draws : 0.0;
-  pass.counters["be.prepare_busy_s"] = prepare_ns * 1e-9 / jobs;
-  pass.counters["be.sample_busy_s"] = sample_ns * 1e-9 / jobs;
-  pass.counters["be.worker_busy_frac"] =
-      (prepare_ns + sample_ns) / (execute_ns * workers);
-  pass.counters["kernels.bytes_computed"] =
-      static_cast<double>(
-          computed_bytes(pass.specs, prepared.plan->gate_count, n)) /
-      jobs;
-  pass.counters["dataset.bytes"] = dataset_bytes_total / jobs;
-  pass.counters["stats.distinct_records"] = distinct / jobs;
-  return pass;
-}
+
+ private:
+  const Config& config_;
+  const Prepared& prepared_;
+  const be::Options& base_;
+  Tracer& tracer_;
+  std::string path_;
+  dataset::StreamWriter writer_;
+  stats::ShotTable sink_table_;
+};
 
 }  // namespace
 
 Outcome run_prep_heavy(const Config& config) {
-  Outcome out;
   const Sizes sizes = sizes_for(config);
   // The circuit is fixed, as in a dataset campaign over one program; the
   // workload seed draws each job's PTS/BE seed. A seed-drawn circuit would
@@ -246,54 +191,37 @@ Outcome run_prep_heavy(const Config& config) {
   BackendConfig backend;
   backend.fuse_gates = true;
 
-  // Set-up: parse the job's .ptq and build its fused plan.
-  Tracer setup_tracer(config.trace);
-  const auto timed_set_up = [&] {
-    const std::int64_t start = now_ns();
-    Prepared prepared = set_up(text, backend, setup_tracer);
-    out.setup_s.push_back(seconds_since(start));
-    return prepared;
+  std::optional<Prepared> prepared;  // The first set-up's.
+  const auto set_up_once = [&](Tracer& tracer) {
+    Prepared p = set_up(text, backend, tracer);
+    if (!prepared) prepared = std::move(p);
   };
-  const Prepared prepared = timed_set_up();
-
   be::Options base;
-  base.backend = "statevector";
-  base.config = backend;
-  base.schedule = be::Schedule::kSharedPrefix;
-  base.threads = std::max<std::size_t>(1, config.nproc / 2);
-  base.plan = prepared.plan;
-
-  Tracer off(false);
-  out.untraced = measure(config, sizes, prepared, base, off, out, [&] {
-    if (out.setup_s.size() < kSetupRepeats) (void)timed_set_up();
+  Outcome out = run_local(config, set_up_once, [&] {
+    base.backend = "statevector";
+    base.config = backend;
+    base.schedule = be::Schedule::kSharedPrefix;
+    base.threads = std::max<std::size_t>(1, config.nproc / 2);
+    base.plan = prepared->plan;
+    LocalWorkload workload;
+    workload.noisy = &prepared->noisy;
+    workload.options = base;
+    workload.strategy.nsamples = sizes.nsamples;
+    workload.strategy.nshots = sizes.nshots;
+    workload.min_jobs = sizes.min_jobs;
+    workload.gate_count = prepared->plan->gate_count;
+    workload.open = [&](const Pipeline&, Tracer& tracer) {
+      return std::make_unique<PrepSink>(config, *prepared, base, tracer);
+    };
+    return workload;
   });
-  while (out.setup_s.size() < kSetupRepeats) (void)timed_set_up();
   if (!config.trace) return out;
 
-  Tracer tracer(true);
-  out.traced = measure(config, sizes, prepared, base, tracer, out, [] {});
-  out.spans = tracer.spans();
-  const std::vector<Span> setup_spans = setup_tracer.spans();
-
-  const double jobs = static_cast<double>(out.traced.job_s.size());
-  auto& layer = out.layers;
-  layer = out.traced.counters;
-  layer["pts.sample_s"] = span_stats(out.spans, "pts.sample").total_s / jobs;
-  layer["plan.build_s"] = span_stats(setup_spans, "plan.build").median_s;
-  layer["plan.fusion_ratio"] =
-      static_cast<double>(prepared.plan->gate_count) /
-      static_cast<double>(prepared.plan->unfused_gate_count);
-  const SpanStats execute = span_stats(out.spans, "be.execute");
-  const SpanStats sink = span_stats(out.spans, "sink.batch");
-  layer["be.execute_s"] = execute.self_s / jobs;
-  layer["sink.busy_s"] = sink.total_s / jobs;
-  layer["sink.busy_frac"] = sink.total_s / execute.total_s;
-  layer["dataset.append_s"] =
-      span_stats(out.spans, "dataset.append").total_s / jobs;
-  layer["stats.table_s"] = span_stats(out.spans, "stats.table").total_s / jobs;
-  layer["stats.compare_s"] =
-      span_stats(out.spans, "stats.compare").total_s / jobs;
-  layer["io.parse_ms"] = span_stats(setup_spans, "io.parse").median_s * 1e3;
+  out.layers["plan.build_s"] =
+      span_stats(out.setup_spans, "plan.build").median_s;
+  out.layers["plan.fusion_ratio"] =
+      static_cast<double>(prepared->plan->gate_count) /
+      static_cast<double>(prepared->plan->unfused_gate_count);
   return out;
 }
 

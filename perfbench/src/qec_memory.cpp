@@ -2,10 +2,11 @@
 // stabilizer backend, written as dataset shards and decoded in the sink.
 //
 // Each job samples specs (`Pipeline::sample`), streams them through
-// `be::execute_streaming` and, on the calling thread, writes every batch to
-// a single-stream dataset and to one of four spec-ordered shards, decodes
-// it with `st-union-find` through `qec::LogicalErrorAccumulator`, and adds
-// it to the sink-built `stats::ShotTable`. The job then reads the data back:
+// `be::execute_streaming` on one worker per two cores and, on the calling
+// thread, writes every batch to a single-stream dataset and to one of four
+// spec-ordered shards, decodes it with `st-union-find` through
+// `qec::LogicalErrorAccumulator`, and adds it to the sink-built
+// `stats::ShotTable`. The job then reads the data back:
 // `stats::merge_datasets` over the shards, `stats::table_of_file` on the
 // merged file, `stats::compare` against the sink-built table. Chosen because
 // the kernels layer is bypassed (stabilizer) and the work sits in bulk
@@ -16,17 +17,14 @@
 // the single-stream dataset byte for byte; every compare distance is
 // exactly 0; the decoded shot count equals the shots requested.
 
-#include <cstdio>
-#include <functional>
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench.hpp"
-#include "ptsbe/core/batched_execution.hpp"
+#include "local.hpp"
 #include "ptsbe/core/dataset.hpp"
-#include "ptsbe/core/pipeline.hpp"
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/qec/metrics.hpp"
 #include "ptsbe/qec/spacetime.hpp"
@@ -85,206 +83,141 @@ std::unique_ptr<Prepared> set_up(Tracer& tracer) {
   return prepared;
 }
 
-Pass measure(const Config& config, const Sizes& sizes,
-             const Prepared& prepared, Tracer& tracer, Outcome& out,
-             const std::function<void()>& between_jobs) {
-  Pass pass;
-  std::uint64_t prepare_ns = 0, sample_ns = 0, execute_ns = 0;
-  std::uint64_t draws = 0, bytes_total = 0, distinct = 0;
-  const std::uint64_t requested_shots = sizes.nsamples * sizes.nshots;
-  const std::string single_path = work_path(config, "qec-single.ptsb");
-  const std::string merged_path = work_path(config, "qec-merged.ptsb");
-  std::vector<std::string> shard_paths;
-  for (std::size_t s = 0; s < kShards; ++s)
-    shard_paths.push_back(
-        work_path(config, "qec-shard-" + std::to_string(s) + ".ptsb"));
-
-  for (std::size_t job = 0;
-       pass.timed_s < config.seconds || pass.job_s.size() < sizes.min_jobs;
-       ++job) {
-    pts::StrategyConfig strategy;
-    strategy.nsamples = sizes.nsamples;
-    strategy.nshots = sizes.nshots;
-    be::Options options;
-    options.backend = "stabilizer";
-    options.threads = config.nproc;
-    options.seed = mix_seed(config.seed, job + 1);
-    const Pipeline pipeline = Pipeline(prepared.noisy)
-                                  .strategy("probabilistic", strategy)
-                                  .seed(options.seed);
-    qec::LogicalErrorAccumulator decoded(*prepared.decoder,
-                                         pipeline.weighting());
-    std::vector<TrajectorySpec> specs;
-    stats::ShotTable sink_table;
-    stats::ShotTable file_table;
-    stats::Comparison cmp;
-    std::vector<std::size_t> arrivals;
-    std::uint64_t executed_shots = 0;
-    bool job_ok = true;
-    const std::int64_t start = now_ns();
-    try {
-      Scope lane(tracer, "bench.job");
-      dataset::StreamWriter single(single_path);
-      std::vector<std::unique_ptr<dataset::StreamWriter>> shards;
-      for (const std::string& p : shard_paths)
-        shards.push_back(std::make_unique<dataset::StreamWriter>(p));
-      {
-        Scope s(tracer, "pts.sample");
-        specs = pipeline.sample();
-      }
-      arrivals.assign(specs.size(), 0);
-      // Batches arrive in completion order; shards must be spec-ordered,
-      // so the sink releases them through a reorder buffer.
-      std::map<std::size_t, be::TrajectoryBatch> pending;
-      std::size_t next = 0;
-      const auto emit = [&](const be::TrajectoryBatch& batch) {
-        {
-          Scope s(tracer, "dataset.append");
-          single.append(batch);
-          shards[batch.spec_index % kShards]->append(batch);
-        }
-        {
-          Scope s(tracer, "qec.decode");
-          decoded.consume(batch);
-        }
-        Scope s(tracer, "stats.add_batch");
-        sink_table.add_batch(batch);
-      };
-      const std::int64_t exec_start = now_ns();
-      be::StreamSummary summary;
-      {
-        Scope s(tracer, "be.execute");
-        summary = be::execute_streaming(
-            prepared.noisy, specs, options, [&](be::TrajectoryBatch&& batch) {
-              Scope sink(tracer, "sink.batch");
-              if (batch.spec_index < arrivals.size())
-                ++arrivals[batch.spec_index];
-              pending.emplace(batch.spec_index, std::move(batch));
-              while (!pending.empty() && pending.begin()->first == next) {
-                emit(pending.begin()->second);
-                pending.erase(pending.begin());
-                ++next;
-              }
-            });
-      }
-      execute_ns += static_cast<std::uint64_t>(now_ns() - exec_start);
-      {
-        Scope s(tracer, "dataset.close");
-        single.close();
-        for (auto& w : shards) w->close();
-      }
-      bytes_total += single.bytes_written();
-      for (auto& w : shards) bytes_total += w->bytes_written();
-      prepare_ns += static_cast<std::uint64_t>(summary.prepare_seconds * 1e9);
-      sample_ns += static_cast<std::uint64_t>(summary.sample_seconds * 1e9);
-      executed_shots = summary.total_shots;
-
-      const std::int64_t read_start = now_ns();
-      stats::MergeReport merged;
-      {
-        Scope s(tracer, "stats.merge");
-        merged = stats::merge_datasets(merged_path, shard_paths);
-      }
-      {
-        Scope s(tracer, "stats.table");
-        file_table = stats::table_of_file(merged_path);
-      }
-      {
-        Scope s(tracer, "stats.compare");
-        cmp = stats::compare(file_table, sink_table);
-      }
-      pass.readbacks.push_back({static_cast<double>(merged.records),
-                                seconds_since(read_start)});
-    } catch (const std::exception& e) {
-      out.notes.push_back(std::string("job failed: ") + e.what());
-      job_ok = false;
+/// Per job: a single-stream dataset, four spec-ordered shards, the decoder
+/// and the sink-built table; then, timed, the read-back through stats.
+class QecSink final : public JobSink {
+ public:
+  QecSink(const Config& config, const Prepared& prepared,
+          const Pipeline& pipeline, std::uint64_t requested_shots,
+          Tracer& tracer)
+      : tracer_(tracer),
+        requested_shots_(requested_shots),
+        single_path_(work_path(config, "qec-single.ptsb")),
+        merged_path_(work_path(config, "qec-merged.ptsb")),
+        single_(single_path_),
+        decoded_(*prepared.decoder, pipeline.weighting()) {
+    for (std::size_t s = 0; s < kShards; ++s) {
+      shard_paths_.push_back(
+          work_path(config, "qec-shard-" + std::to_string(s) + ".ptsb"));
+      shards_.push_back(
+          std::make_unique<dataset::StreamWriter>(shard_paths_.back()));
     }
-    const double latency = seconds_since(start);
-    pass.timed_s += latency;
-    pass.job_s.push_back(latency);
-    pass.windows.push_back({latency, static_cast<double>(specs.size()),
-                            static_cast<double>(decoded.shots()), 1.0});
-    pass.specs += specs.size();
-    pass.shots += decoded.shots();
-    draws += sizes.nsamples;
-    distinct += file_table.distinct();
-    out.jobs.add(job_ok);
-    for (const std::size_t seen : arrivals) out.batches.add(seen == 1);
-    if (!job_ok) continue;
-
-    out.check(slurp(merged_path) == slurp(single_path),
-              "qec-memory: merged shards differ from the single-stream bytes");
-    out.check(cmp.exact_match() && file_table == sink_table,
-              "qec-memory: compare distances against the sink table not 0");
-    out.check(decoded.shots() == requested_shots &&
-                  executed_shots == requested_shots,
-              "qec-memory: decoded shot count differs from shots requested");
-    between_jobs();
   }
-  for (const std::string& p : shard_paths) std::remove(p.c_str());
-  std::remove(single_path.c_str());
-  std::remove(merged_path.c_str());
 
-  const double jobs = static_cast<double>(pass.job_s.size());
-  pass.counters["pts.accept_ratio"] =
-      draws > 0 ? static_cast<double>(pass.specs) / draws : 0.0;
-  pass.counters["be.prepare_busy_s"] = prepare_ns * 1e-9 / jobs;
-  pass.counters["be.sample_busy_s"] = sample_ns * 1e-9 / jobs;
-  pass.counters["be.worker_busy_frac"] =
-      (prepare_ns + sample_ns) /
-      (execute_ns * static_cast<double>(config.nproc));
-  pass.counters["dataset.bytes"] = bytes_total / jobs;
-  pass.counters["stats.distinct_records"] = distinct / jobs;
-  return pass;
-}
+  // Batches arrive in completion order; shards must be spec-ordered, so
+  // the sink releases them through a reorder buffer.
+  void consume(be::TrajectoryBatch&& batch) override {
+    pending_.emplace(batch.spec_index, std::move(batch));
+    while (!pending_.empty() && pending_.begin()->first == next_) {
+      emit(pending_.begin()->second);
+      pending_.erase(pending_.begin());
+      ++next_;
+    }
+  }
+
+  void finish(const LocalJob& job, Pass& pass) override {
+    {
+      Scope s(tracer_, "dataset.close");
+      single_.close();
+      for (auto& w : shards_) w->close();
+    }
+    bytes = single_.bytes_written();
+    for (auto& w : shards_) bytes += w->bytes_written();
+    shots = decoded_.shots();
+    executed_shots_ = job.summary.total_shots;
+
+    const std::int64_t read_start = now_ns();
+    stats::MergeReport merged;
+    {
+      Scope s(tracer_, "stats.merge");
+      merged = stats::merge_datasets(merged_path_, shard_paths_);
+    }
+    {
+      Scope s(tracer_, "stats.table");
+      file_table_ = stats::table_of_file(merged_path_);
+    }
+    {
+      Scope s(tracer_, "stats.compare");
+      cmp_ = stats::compare(file_table_, sink_table_);
+    }
+    pass.readbacks.push_back(
+        {static_cast<double>(merged.records), seconds_since(read_start)});
+  }
+
+  void check(const LocalJob&, Pass&, Outcome& out) override {
+    out.check(slurp(merged_path_) == slurp(single_path_),
+              "qec-memory: merged shards differ from the single-stream bytes");
+    out.check(cmp_.exact_match() && file_table_ == sink_table_,
+              "qec-memory: compare distances against the sink table not 0");
+    out.check(shots == requested_shots_ && executed_shots_ == requested_shots_,
+              "qec-memory: decoded shot count differs from shots requested");
+    distinct = file_table_.distinct();
+  }
+
+ private:
+  void emit(const be::TrajectoryBatch& batch) {
+    {
+      Scope s(tracer_, "dataset.append");
+      single_.append(batch);
+      shards_[batch.spec_index % kShards]->append(batch);
+    }
+    {
+      Scope s(tracer_, "qec.decode");
+      decoded_.consume(batch);
+    }
+    Scope s(tracer_, "stats.add_batch");
+    sink_table_.add_batch(batch);
+  }
+
+  Tracer& tracer_;
+  std::uint64_t requested_shots_;
+  std::string single_path_, merged_path_;
+  std::vector<std::string> shard_paths_;
+  dataset::StreamWriter single_;
+  std::vector<std::unique_ptr<dataset::StreamWriter>> shards_;
+  qec::LogicalErrorAccumulator decoded_;
+  stats::ShotTable sink_table_, file_table_;
+  stats::Comparison cmp_;
+  std::map<std::size_t, be::TrajectoryBatch> pending_;
+  std::size_t next_ = 0;
+  std::uint64_t executed_shots_ = 0;
+};
 
 }  // namespace
 
 Outcome run_qec_memory(const Config& config) {
-  Outcome out;
   const Sizes sizes = sizes_for(config);
-  Tracer setup_tracer(config.trace);
-  const auto timed_set_up = [&] {
-    const std::int64_t start = now_ns();
-    std::unique_ptr<Prepared> prepared = set_up(setup_tracer);
-    out.setup_s.push_back(seconds_since(start));
-    return prepared;
+  std::unique_ptr<Prepared> prepared;  // The first set-up's.
+  const auto set_up_once = [&](Tracer& tracer) {
+    std::unique_ptr<Prepared> p = set_up(tracer);
+    if (!prepared) prepared = std::move(p);
   };
-  const std::unique_ptr<Prepared> prepared = timed_set_up();
-
-  Tracer off(false);
-  out.untraced = measure(config, sizes, *prepared, off, out, [&] {
-    if (out.setup_s.size() < kSetupRepeats) (void)timed_set_up();
+  Outcome out = run_local(config, set_up_once, [&] {
+    LocalWorkload workload;
+    workload.noisy = &prepared->noisy;
+    workload.options.backend = "stabilizer";
+    // One worker per two cores: the decode on the calling thread is the
+    // bottleneck and needs a core of its own. With one worker per core on
+    // a shared 4-core host, runs of one seed read up to 34% apart.
+    workload.options.threads = std::max<std::size_t>(1, config.nproc / 2);
+    workload.strategy.nsamples = sizes.nsamples;
+    workload.strategy.nshots = sizes.nshots;
+    workload.min_jobs = sizes.min_jobs;
+    workload.open = [&](const Pipeline& pipeline, Tracer& tracer) {
+      return std::make_unique<QecSink>(config, *prepared, pipeline,
+                                       sizes.nsamples * sizes.nshots, tracer);
+    };
+    return workload;
   });
-  while (out.setup_s.size() < kSetupRepeats) (void)timed_set_up();
   if (!config.trace) return out;
 
-  Tracer tracer(true);
-  out.traced = measure(config, sizes, *prepared, tracer, out, [] {});
-  out.spans = tracer.spans();
-  const std::vector<Span> setup_spans = setup_tracer.spans();
-
   const double jobs = static_cast<double>(out.traced.job_s.size());
-  const auto per_job = [&](const char* name) {
-    return span_stats(out.spans, name).total_s / jobs;
-  };
-  auto& layer = out.layers;
-  layer = out.traced.counters;
-  layer["pts.sample_s"] = per_job("pts.sample");
-  const SpanStats execute = span_stats(out.spans, "be.execute");
-  const SpanStats sink = span_stats(out.spans, "sink.batch");
   const SpanStats decode = span_stats(out.spans, "qec.decode");
-  layer["be.execute_s"] = execute.self_s / jobs;
-  layer["sink.busy_s"] = sink.total_s / jobs;
-  layer["sink.busy_frac"] = sink.total_s / execute.total_s;
-  layer["dataset.append_s"] = per_job("dataset.append");
-  layer["qec.decode_s"] = decode.total_s / jobs;
-  layer["qec.ns_per_shot"] =
+  out.layers["qec.decode_s"] = decode.total_s / jobs;
+  out.layers["qec.ns_per_shot"] =
       decode.total_s * 1e9 / static_cast<double>(out.traced.shots);
-  layer["stats.merge_s"] = per_job("stats.merge");
-  layer["stats.table_s"] = per_job("stats.table");
-  layer["stats.compare_s"] = per_job("stats.compare");
-  layer["io.parse_ms"] = span_stats(setup_spans, "io.parse").median_s * 1e3;
+  out.layers["stats.merge_s"] =
+      span_stats(out.spans, "stats.merge").total_s / jobs;
   return out;
 }
 

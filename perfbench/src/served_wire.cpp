@@ -6,8 +6,11 @@
 // The job stream is a pure function of (seed, job index):
 //   - three tenants;
 //   - hot repeat circuits (plan-cache hits) and one-off circuits (misses);
-//   - mostly ~1 ms jobs plus a few about forty times larger, so with fewer
+//   - mostly ~1 ms jobs plus a few 20-30 times larger, so with fewer
 //     engine workers than callers the tail shows head-of-line blocking.
+// The proportions are assumptions, not a recorded trace (README, "Served-wire
+// traffic"); the traced run reports what follows from them: the single-job
+// times on an idle engine and the plan-cache hit rate.
 //
 // The traced run also replays the traced pass's job stream on an in-process
 // `serve::Engine` (the serve layer without the wire) and parses every job
@@ -59,16 +62,24 @@ struct Sizes {
 
 Sizes sizes_for(const Config& config) {
   if (config.small) return {6, 4, 8, 32, 4, 12};
-  return {10, 8, 4, 256, 40, 200};
+  // An ordinary job takes about 1 ms on an idle engine, a large one 20-30
+  // ms (serve.idle_job_ms, serve.idle_big_job_ms).
+  return {10, 8, 4, 128, 60, 200};
 }
 
 constexpr double kNoise = 0.01;
+/// As in bench_serve_throughput's tenant population: a handful of distinct
+/// circuits submitted over and over.
 constexpr std::uint64_t kHotCircuits = 4;
 constexpr std::uint64_t kTenants = 3;
 constexpr std::uint64_t kBlock = 40;       ///< One job in 40 is large.
 constexpr std::uint64_t kOneOffEvery = 5;  ///< One job in 5 is a one-off.
-constexpr std::uint64_t kSampleEvery = 4;  ///< Jobs checked against local.
-constexpr std::size_t kMaxSampled = 256;
+/// Jobs [0, kSampledJobs) are checked against a local run and read back.
+/// Whole blocks, so every seed checks the same mix: the file read back
+/// would otherwise hold from one to a dozen large jobs, and its read-back
+/// rate would vary with the seed.
+constexpr std::uint64_t kSampledJobs = 6 * kBlock;
+constexpr int kReadbacks = 45;
 
 /// Deterministic job stream.
 class JobStream {
@@ -182,6 +193,7 @@ WirePass wire_loop(const Config& config, const Sizes& sizes,
   std::mutex mutex;
   std::uint64_t batches = 0, mismatched = 0, failed = 0;
   std::vector<std::string> errors;
+  reset_peak_rss();
   const std::int64_t start = now_ns();
   std::vector<std::thread> threads;
   for (auto& client : fleet.clients) {
@@ -207,8 +219,7 @@ WirePass wire_loop(const Config& config, const Sizes& sizes,
           if (remote.num_batches != remote.run.result.batches.size())
             ++my_mismatched;
           my_shots += remote.run.result.total_shots();
-          if (index % kSampleEvery == 0 &&
-              index / kSampleEvery < kMaxSampled)
+          if (index < kSampledJobs)
             my_sampled.push_back({index, std::move(remote.run)});
         } catch (const std::exception& e) {
           ++my_failed;
@@ -226,15 +237,20 @@ WirePass wire_loop(const Config& config, const Sizes& sizes,
       errors.insert(errors.end(), my_errors.begin(), my_errors.end());
     });
   }
+  // The loop is cut into kSetupRepeats slices by the ticks; the peak
+  // resident set is read per slice, leaving out the ticks' set-ups.
   const auto begin = std::chrono::steady_clock::now();
   const std::chrono::duration<double> length(config.seconds);
   for (std::size_t i = 1; i < kSetupRepeats; ++i) {
     std::this_thread::sleep_until(begin + length * i / kSetupRepeats);
+    result.pass.peak_rss_mib.push_back(peak_rss_mib());
     tick();
+    reset_peak_rss();
   }
   std::this_thread::sleep_until(begin + length);
   stop = true;
   for (std::thread& t : threads) t.join();
+  result.pass.peak_rss_mib.push_back(peak_rss_mib());
   result.pass.timed_s = seconds_since(start);
   result.jobs = next.load();
   result.pass.specs = batches;
@@ -261,6 +277,10 @@ void check_sampled(const Config& config, const JobStream& stream,
   const std::string remote_path = work_path(config, "wire-remote.ptsb");
   const std::string local_path = work_path(config, "wire-local.ptsb");
   const std::string collected_path = work_path(config, "wire-collected.ptsb");
+  std::sort(wire.sampled.begin(), wire.sampled.end(),
+            [](const Sampled& a, const Sampled& b) {
+              return a.index < b.index;
+            });
   dataset::StreamWriter collected(collected_path);
   stats::ShotTable expected;
   for (const Sampled& s : wire.sampled) {
@@ -280,9 +300,9 @@ void check_sampled(const Config& config, const JobStream& stream,
     expected.merge(stats::table_of_result(local.result));
   }
   collected.close();
-  // One read-back of this file takes milliseconds, so it is repeated and
-  // the rate is the median.
-  for (int rep = 0; rep < 9; ++rep) {
+  // One read-back of this file takes a few tens of milliseconds, so it is
+  // repeated and the rate is the median.
+  for (int rep = 0; rep < kReadbacks; ++rep) {
     const std::int64_t start = now_ns();
     const stats::ShotTable file_table = stats::table_of_file(collected_path);
     const stats::Comparison cmp = stats::compare(file_table, expected);
@@ -349,6 +369,31 @@ void replay_on_engine(const Config& config, const JobStream& stream,
   out.layers["serve.job_latency_ms"] = median(latencies) * 1e3;
   out.layers["serve.plan_cache_hit_rate"] = stats.plan_cache_hit_rate();
   out.layers["serve.queue_high_water"] = static_cast<double>(high_water);
+  engine.shutdown();
+}
+
+/// Single-job times on an idle engine, one job in flight and its plan
+/// cached: the median submit→wait of 15 runs of an ordinary hot job and
+/// of 5 runs of a large one. They show what the closed loop's latencies
+/// are made of, apart from queueing and the wire.
+void idle_job_times(const Config& config, const JobStream& stream,
+                    Outcome& out) {
+  serve::Engine engine(engine_config(config));
+  const auto median_ms = [&](JobStream::Kind kind, int runs) {
+    std::uint64_t index = 0;
+    while (stream.kind(index) != kind) ++index;
+    const serve::JobRequest req = stream.request(index);
+    std::vector<double> times;
+    for (int run = 0; run <= runs; ++run) {  // Run 0 fills the plan cache.
+      serve::JobRequest copy = req;
+      const std::int64_t t0 = now_ns();
+      (void)engine.submit(std::move(copy)).wait();
+      if (run > 0) times.push_back(seconds_since(t0));
+    }
+    return median(std::move(times)) * 1e3;
+  };
+  out.layers["serve.idle_job_ms"] = median_ms(JobStream::Kind::kHot, 15);
+  out.layers["serve.idle_big_job_ms"] = median_ms(JobStream::Kind::kBig, 5);
   engine.shutdown();
 }
 
@@ -421,6 +466,7 @@ Outcome run_served_wire(const Config& config) {
   stop_fleet(fleet, out);
   replay_on_engine(config, stream, traced.jobs, tracer, out);
   parse_and_plan(stream, traced.jobs, tracer, out);
+  idle_job_times(config, stream, out);
   out.traced = traced.pass;
   out.spans = tracer.spans();
 
