@@ -17,15 +17,21 @@
 // text and builds the plan of every miss from outside (the io and plan
 // layers the server runs internally).
 //
+// Read-back: before the loop, the sampled jobs are run locally
+// (`Pipeline::run`) and their batches collected into one dataset file, as
+// a client would collect them. The loop is cut into evenly spaced slices,
+// and between them, with no job in flight, the main thread reads that file
+// back (`table_of_file`, `compare`), so the read-back rate samples the host
+// across the run without competing with the loop for cores.
+//
 // Checks: every job returns kDone (a failure surfaces as a RemoteError);
 // the batch count announced by the server matches the batches received;
-// every sampled job's dataset bytes equal a local `Pipeline::run`, and the
-// sampled jobs, collected into one dataset file, read back to the records
-// of the local runs.
+// every sampled job's dataset bytes equal its local run, so the sampled
+// wire jobs, collected into one file, equal the file read back; and every
+// read-back gives exactly the local runs' records.
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -57,14 +63,18 @@ struct Sizes {
   std::size_t nsamples;     ///< PTS draws of an ordinary job.
   std::uint64_t nshots;
   std::size_t big_factor;   ///< A large job draws this many times more.
-  std::size_t min_jobs;
+  /// Jobs [0, sampled_jobs) are checked against a local run and read back.
+  /// Whole blocks of kBlock, so every seed checks and reads back the same
+  /// mix: the file would otherwise hold from one to a dozen large jobs,
+  /// and its read-back rate would vary with the seed.
+  std::uint64_t sampled_jobs;
 };
 
 Sizes sizes_for(const Config& config) {
-  if (config.small) return {6, 4, 8, 32, 4, 12};
+  if (config.small) return {6, 4, 8, 32, 4, 40};
   // An ordinary job takes about 1 ms on an idle engine, a large one 20-30
   // ms (serve.idle_job_ms, serve.idle_big_job_ms).
-  return {10, 8, 4, 128, 60, 200};
+  return {10, 8, 4, 128, 60, 240};
 }
 
 constexpr double kNoise = 0.01;
@@ -74,21 +84,21 @@ constexpr std::uint64_t kHotCircuits = 4;
 constexpr std::uint64_t kTenants = 3;
 constexpr std::uint64_t kBlock = 40;       ///< One job in 40 is large.
 constexpr std::uint64_t kOneOffEvery = 5;  ///< One job in 5 is a one-off.
-/// Jobs [0, kSampledJobs) are checked against a local run and read back.
-/// Whole blocks, so every seed checks the same mix: the file read back
-/// would otherwise hold from one to a dozen large jobs, and its read-back
-/// rate would vary with the seed.
-constexpr std::uint64_t kSampledJobs = 6 * kBlock;
-constexpr int kReadbacks = 45;
+/// Read-backs between two slices of the loop. One takes a few tens of
+/// milliseconds.
+constexpr int kReadbacksPerTick = 2;
 
 /// Deterministic job stream.
 class JobStream {
  public:
   JobStream(const Config& config, const Sizes& sizes)
       : seed_(config.seed), sizes_(sizes) {
+    // The hot circuits are fixed: the large jobs, which hold most of the
+    // records read back, run them, and a seed-drawn circuit would move the
+    // read-back cost with the seed.
     for (std::uint64_t h = 0; h < kHotCircuits; ++h)
       hot_.push_back(brickwork_ptq(sizes.qubits, sizes.depth, kNoise, 100 + h,
-                                   mix_seed(seed_, h)));
+                                   200 + h));
   }
 
   enum class Kind { kHot, kOneOff, kBig };
@@ -181,77 +191,75 @@ struct WirePass {
   std::vector<Sampled> sampled;
 };
 
-/// The closed loop: every client submits job after job until `seconds`
-/// have passed, then finishes the job in flight. The main thread is idle
-/// meanwhile; it calls `tick` kSetupRepeats - 1 times, evenly spaced.
+/// The closed loop, cut into kSetupRepeats slices of equal length. In a
+/// slice every client submits job after job until the slice's time is up,
+/// then finishes the job in flight; the last slice also runs until the
+/// sampled jobs have been issued. Between slices the loop is quiet and the
+/// main thread calls `tick` with the pass, so the ticks' work competes with
+/// no job for the cores. The loop's time is the slices' time, and the peak
+/// resident set is read per slice.
 WirePass wire_loop(const Config& config, const Sizes& sizes,
                    const JobStream& stream, Fleet& fleet, Tracer& tracer,
-                   Outcome& out, const std::function<void()>& tick) {
+                   Outcome& out, const std::function<void(Pass&)>& tick) {
   WirePass result;
   std::atomic<std::uint64_t> next{0};
-  std::atomic<bool> stop{false};
   std::mutex mutex;
   std::uint64_t batches = 0, mismatched = 0, failed = 0;
   std::vector<std::string> errors;
-  reset_peak_rss();
-  const std::int64_t start = now_ns();
-  std::vector<std::thread> threads;
-  for (auto& client : fleet.clients) {
-    threads.emplace_back([&, c = client.get()] {
-      Scope lane(tracer, "bench.client", nullptr, true);
-      std::vector<double> latencies;
-      std::uint64_t my_batches = 0, my_shots = 0, my_mismatched = 0,
-                    my_failed = 0;
-      std::vector<Sampled> my_sampled;
-      std::vector<std::string> my_errors;
-      while (!stop.load() || next.load() < sizes.min_jobs) {
-        const std::uint64_t index = next.fetch_add(1);
-        try {
-          const serve::JobRequest req = stream.request(index);
-          const std::int64_t t0 = now_ns();
-          net::RemoteRun remote;
-          {
-            Scope s(tracer, "net.submit");
-            remote = c->submit(req);
-          }
-          latencies.push_back(seconds_since(t0));
-          my_batches += remote.num_batches;
-          if (remote.num_batches != remote.run.result.batches.size())
-            ++my_mismatched;
-          my_shots += remote.run.result.total_shots();
-          if (index < kSampledJobs)
-            my_sampled.push_back({index, std::move(remote.run)});
-        } catch (const std::exception& e) {
-          ++my_failed;
-          my_errors.push_back(e.what());
+  const auto client_loop = [&](net::Client& c, std::int64_t end_ns,
+                               bool last) {
+    Scope lane(tracer, "bench.client", nullptr, true);
+    std::vector<double> latencies;
+    std::uint64_t my_batches = 0, my_shots = 0, my_mismatched = 0,
+                  my_failed = 0;
+    std::vector<Sampled> my_sampled;
+    std::vector<std::string> my_errors;
+    while (now_ns() < end_ns || (last && next.load() < sizes.sampled_jobs)) {
+      const std::uint64_t index = next.fetch_add(1);
+      try {
+        const serve::JobRequest req = stream.request(index);
+        const std::int64_t t0 = now_ns();
+        net::RemoteRun remote;
+        {
+          Scope s(tracer, "net.submit");
+          remote = c.submit(req);
         }
+        latencies.push_back(seconds_since(t0));
+        my_batches += remote.num_batches;
+        if (remote.num_batches != remote.run.result.batches.size())
+          ++my_mismatched;
+        my_shots += remote.run.result.total_shots();
+        if (index < sizes.sampled_jobs)
+          my_sampled.push_back({index, std::move(remote.run)});
+      } catch (const std::exception& e) {
+        ++my_failed;
+        my_errors.push_back(e.what());
       }
-      const std::lock_guard<std::mutex> lock(mutex);
-      result.pass.job_s.insert(result.pass.job_s.end(), latencies.begin(),
-                               latencies.end());
-      batches += my_batches;
-      result.pass.shots += my_shots;
-      mismatched += my_mismatched;
-      failed += my_failed;
-      for (Sampled& s : my_sampled) result.sampled.push_back(std::move(s));
-      errors.insert(errors.end(), my_errors.begin(), my_errors.end());
-    });
-  }
-  // The loop is cut into kSetupRepeats slices by the ticks; the peak
-  // resident set is read per slice, leaving out the ticks' set-ups.
-  const auto begin = std::chrono::steady_clock::now();
-  const std::chrono::duration<double> length(config.seconds);
-  for (std::size_t i = 1; i < kSetupRepeats; ++i) {
-    std::this_thread::sleep_until(begin + length * i / kSetupRepeats);
-    result.pass.peak_rss_mib.push_back(peak_rss_mib());
-    tick();
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    result.pass.job_s.insert(result.pass.job_s.end(), latencies.begin(),
+                             latencies.end());
+    batches += my_batches;
+    result.pass.shots += my_shots;
+    mismatched += my_mismatched;
+    failed += my_failed;
+    for (Sampled& s : my_sampled) result.sampled.push_back(std::move(s));
+    errors.insert(errors.end(), my_errors.begin(), my_errors.end());
+  };
+  const auto slice_ns = static_cast<std::int64_t>(config.seconds * 1e9 /
+                                                  kSetupRepeats);
+  for (std::size_t slice = 0; slice < kSetupRepeats; ++slice) {
+    if (slice > 0) tick(result.pass);
     reset_peak_rss();
+    const std::int64_t start = now_ns();
+    std::vector<std::thread> threads;
+    for (auto& client : fleet.clients)
+      threads.emplace_back(client_loop, std::ref(*client), start + slice_ns,
+                           slice + 1 == kSetupRepeats);
+    for (std::thread& t : threads) t.join();
+    result.pass.timed_s += seconds_since(start);
+    result.pass.peak_rss_mib.push_back(peak_rss_mib());
   }
-  std::this_thread::sleep_until(begin + length);
-  stop = true;
-  for (std::thread& t : threads) t.join();
-  result.pass.peak_rss_mib.push_back(peak_rss_mib());
-  result.pass.timed_s = seconds_since(start);
   result.jobs = next.load();
   result.pass.specs = batches;
   result.pass.windows.push_back(
@@ -269,48 +277,77 @@ WirePass wire_loop(const Config& config, const Sizes& sizes,
   return result;
 }
 
-/// Sampled jobs against a local Pipeline::run: byte identity of each job's
-/// dataset export, then read-back of every sampled job's batches, collected
-/// into one dataset file as a client would, through the stats layer.
-void check_sampled(const Config& config, const JobStream& stream,
-                   WirePass& wire, Outcome& out) {
-  const std::string remote_path = work_path(config, "wire-remote.ptsb");
-  const std::string local_path = work_path(config, "wire-local.ptsb");
-  const std::string collected_path = work_path(config, "wire-collected.ptsb");
-  std::sort(wire.sampled.begin(), wire.sampled.end(),
-            [](const Sampled& a, const Sampled& b) {
-              return a.index < b.index;
-            });
-  dataset::StreamWriter collected(collected_path);
-  stats::ShotTable expected;
-  for (const Sampled& s : wire.sampled) {
-    const serve::JobRequest req = stream.request(s.index);
+/// Local runs of the sampled jobs: the bytes each wire job must equal, and
+/// the file read back, which holds their batches as a client collects them.
+struct Reference {
+  std::vector<std::string> job_bytes;  ///< Dataset export of each job.
+  std::string path;                    ///< The jobs' batches in one file.
+  stats::ShotTable table;              ///< The records of the local runs.
+};
+
+Reference local_reference(const Config& config, const Sizes& sizes,
+                          const JobStream& stream) {
+  Reference ref;
+  ref.path = work_path(config, "wire-local-collected.ptsb");
+  const std::string job_path = work_path(config, "wire-local.ptsb");
+  dataset::StreamWriter collected(ref.path);
+  for (std::uint64_t index = 0; index < sizes.sampled_jobs; ++index) {
+    const serve::JobRequest req = stream.request(index);
     const RunResult local = Pipeline(io::parse_circuit(req.circuit_text))
                                 .strategy(req.strategy, req.strategy_config)
                                 .backend(req.backend, req.backend_config)
                                 .seed(req.seed)
                                 .run();
+    local.to_binary(job_path);
+    ref.job_bytes.push_back(slurp(job_path));
+    for (const be::TrajectoryBatch& batch : local.result.batches)
+      collected.append(batch);
+    ref.table.merge(stats::table_of_result(local.result));
+  }
+  collected.close();
+  std::remove(job_path.c_str());
+  return ref;
+}
+
+/// Reads the reference file back kReadbacksPerTick times, each timed from
+/// `table_of_file` through `compare` against the local runs' records.
+void read_back(const Reference& ref, Pass& pass, Outcome& out) {
+  for (int rep = 0; rep < kReadbacksPerTick; ++rep) {
+    const std::int64_t start = now_ns();
+    const stats::ShotTable file_table = stats::table_of_file(ref.path);
+    const stats::Comparison cmp = stats::compare(file_table, ref.table);
+    pass.readbacks.push_back({file_table.total(), seconds_since(start)});
+    out.check(cmp.exact_match() && file_table == ref.table,
+              "served-wire: the collected jobs read back to different records");
+  }
+}
+
+/// Sampled jobs against their local runs: byte identity of each job's
+/// dataset export, and of the sampled jobs' batches collected into one
+/// file against the file read back during the loop.
+void check_sampled(const Config& config, const Sizes& sizes,
+                   const Reference& ref, WirePass& wire, Outcome& out) {
+  const std::string remote_path = work_path(config, "wire-remote.ptsb");
+  const std::string collected_path = work_path(config, "wire-collected.ptsb");
+  std::sort(wire.sampled.begin(), wire.sampled.end(),
+            [](const Sampled& a, const Sampled& b) {
+              return a.index < b.index;
+            });
+  out.check(wire.sampled.size() == sizes.sampled_jobs,
+            "served-wire: a sampled job did not return");
+  dataset::StreamWriter collected(collected_path);
+  for (const Sampled& s : wire.sampled) {
     s.run.to_binary(remote_path);
-    local.to_binary(local_path);
-    out.check(slurp(remote_path) == slurp(local_path),
+    out.check(slurp(remote_path) == ref.job_bytes[s.index],
               "served-wire: job " + std::to_string(s.index) +
                   " differs from a local Pipeline::run");
     for (const be::TrajectoryBatch& batch : s.run.result.batches)
       collected.append(batch);
-    expected.merge(stats::table_of_result(local.result));
   }
   collected.close();
-  // One read-back of this file takes a few tens of milliseconds, so it is
-  // repeated and the rate is the median.
-  for (int rep = 0; rep < kReadbacks; ++rep) {
-    const std::int64_t start = now_ns();
-    const stats::ShotTable file_table = stats::table_of_file(collected_path);
-    const stats::Comparison cmp = stats::compare(file_table, expected);
-    wire.pass.readbacks.push_back({file_table.total(), seconds_since(start)});
-    out.check(cmp.exact_match() && file_table == expected,
-              "served-wire: the collected jobs read back to different records");
-  }
-  for (const std::string& p : {remote_path, local_path, collected_path})
+  out.check(slurp(collected_path) == slurp(ref.path),
+            "served-wire: the collected jobs differ from the file read back");
+  for (const std::string& p : {remote_path, collected_path})
     std::remove(p.c_str());
 }
 
@@ -433,9 +470,9 @@ Outcome run_served_wire(const Config& config) {
   const Sizes sizes = sizes_for(config);
   const JobStream stream(config, sizes);
 
-  // Set-up: start the server and connect every client. It is repeated on
-  // the idle main thread during the untraced pass, so the median samples
-  // the host across the run.
+  // Set-up: start the server and connect every client. It is repeated
+  // between the slices of the untraced pass, so the median samples the host
+  // across the run.
   Tracer setup_tracer(config.trace);
   const auto timed_set_up = [&] {
     const std::int64_t start = now_ns();
@@ -448,12 +485,17 @@ Outcome run_served_wire(const Config& config) {
     stop_fleet(extra, out);
   };
   Fleet fleet = timed_set_up();
+  const Reference ref = local_reference(config, sizes, stream);
+  const auto tick_read_back = [&](Pass& pass) { read_back(ref, pass, out); };
 
   Tracer off(false);
-  WirePass untraced =
-      wire_loop(config, sizes, stream, fleet, off, out, repeat_set_up);
+  WirePass untraced = wire_loop(config, sizes, stream, fleet, off, out,
+                                [&](Pass& pass) {
+                                  repeat_set_up();
+                                  tick_read_back(pass);
+                                });
   while (out.setup_s.size() < kSetupRepeats) repeat_set_up();
-  check_sampled(config, stream, untraced, out);
+  check_sampled(config, sizes, ref, untraced, out);
   stop_fleet(fleet, out);
   out.untraced = untraced.pass;
   if (!config.trace) return out;
@@ -461,8 +503,8 @@ Outcome run_served_wire(const Config& config) {
   Tracer tracer(true);
   fleet = start_fleet(config, off);
   WirePass traced =
-      wire_loop(config, sizes, stream, fleet, tracer, out, [] {});
-  check_sampled(config, stream, traced, out);
+      wire_loop(config, sizes, stream, fleet, tracer, out, tick_read_back);
+  check_sampled(config, sizes, ref, traced, out);
   stop_fleet(fleet, out);
   replay_on_engine(config, stream, traced.jobs, tracer, out);
   parse_and_plan(stream, traced.jobs, tracer, out);
