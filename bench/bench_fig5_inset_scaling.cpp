@@ -4,9 +4,9 @@
 // The paper's inset shows near-linear *intra*-trajectory scaling with GPU
 // count, and notes inter-trajectory scaling is linear by definition
 // (embarrassing parallelism). Our substitution maps devices to worker
-// threads (DevicePool) and measures the inter-trajectory layer, which is
-// the one PTSBE itself contributes. NOTE: this container exposes a single
-// CPU core, so the measured curve is flat — the bench still demonstrates
+// threads (`be::Options::threads`) and measures the inter-trajectory
+// layer, which is the one PTSBE itself contributes. NOTE: this container
+// exposes a single CPU core, so the measured curve is flat — the bench still demonstrates
 // correct parallel decomposition (per-trajectory Philox substreams keep
 // results identical at every device count) and reports the scheduling
 // overhead, which is the honest measurement available on this host.
@@ -42,7 +42,7 @@ int main() {
     be::Options exec;
     exec.backend = "mps";
     exec.config.mps.max_bond = 64;
-    exec.num_devices = devices;
+    exec.threads = devices;
     WallTimer t;
     const be::Result result = be::execute(noisy, specs, exec);
     const double secs = t.seconds();

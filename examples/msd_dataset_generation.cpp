@@ -17,13 +17,21 @@
 #include "ptsbe/core/pts.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/qec/distillation.hpp"
+#include "ptsbe/serve/job_config.hpp"
 
 int main(int argc, char** argv) {
   using namespace ptsbe;
-  const std::size_t nsamples = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                        : 4000;
-  const std::uint64_t nshots = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                        : 2000;
+  // usage: msd_dataset_generation [nsamples [nshots]]
+  std::size_t nsamples = 4000;
+  std::uint64_t nshots = 2000;
+  try {
+    if (argc > 1) nsamples = serve::parse_u64("nsamples", argv[1]);
+    if (argc > 2) nshots = serve::parse_u64("nshots", argv[2]);
+  } catch (const serve::JobConfigError& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s [nsamples [nshots]]\n",
+                 e.what(), argv[0]);
+    return 2;
+  }
 
   // The distillation circuit with noisy magic-state inputs: depolarizing
   // noise after each input preparation gate.

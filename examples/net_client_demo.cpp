@@ -10,12 +10,17 @@
 //   net_client_demo --self-serve examples/circuits/bell.ptq
 //       hermetic mode: spins up an in-process net::Server on an ephemeral
 //       loopback port and talks to itself — the ctest smoke path.
+//
+// Every other `--KEY VALUE` pair is a job-config entry, with the keys and
+// checks of ptsbe/serve/job_config.hpp (the grammar SUBMIT frames and
+// ptsbe_serve job files use): `--strategy band --p_min 1e-7 --nshots 64`.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,6 +29,7 @@
 #include "ptsbe/io/ptq.hpp"
 #include "ptsbe/net/client.hpp"
 #include "ptsbe/net/server.hpp"
+#include "ptsbe/serve/job_config.hpp"
 
 namespace {
 
@@ -35,13 +41,12 @@ void usage(std::FILE* os, const char* argv0) {
       "  --self-serve             run an in-process server instead\n"
       "  --tenant NAME            tenant label [demo]\n"
       "  --priority normal|high   admission lane [normal]\n"
-      "  --strategy NAME          PTS strategy [probabilistic]\n"
-      "  --backend NAME           simulator backend [statevector]\n"
-      "  --seed S                 master seed [1234]\n"
-      "  --nsamples N             candidate draws [64]\n"
-      "  --nshots N               shots per spec [256]\n"
       "  --connect-timeout-ms MS  dead-endpoint bound [5000]\n"
-      "  --stats                  also fetch the server's stats JSON\n",
+      "  --stats                  also fetch the server's stats JSON\n"
+      "  --KEY VALUE              any job-config key (strategy, backend,\n"
+      "                           seed, nsamples, nshots, p_min, ...; see\n"
+      "                           ptsbe/serve/job_config.hpp)\n"
+      "                           [seed 1234, nsamples 64, nshots 256]\n",
       argv0);
 }
 
@@ -81,14 +86,22 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) reject(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    // Strict numbers: a malformed value is a usage error naming both.
+    const auto u64 = [&](std::uint64_t max) {
+      try {
+        return serve::parse_u64(arg, value(), max);
+      } catch (const serve::JobConfigError& e) {
+        reject(argv[0], e.what());
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout, argv[0]);
       return 0;
     } else if (arg == "--host") {
       client_config.host = value();
     } else if (arg == "--port") {
-      client_config.port =
-          static_cast<std::uint16_t>(std::strtoul(value(), nullptr, 10));
+      client_config.port = static_cast<std::uint16_t>(
+          u64(std::numeric_limits<std::uint16_t>::max()));
       port_given = true;
     } else if (arg == "--self-serve") {
       self_serve = true;
@@ -100,21 +113,17 @@ int main(int argc, char** argv) {
       } catch (const std::exception& e) {
         reject(argv[0], e.what());
       }
-    } else if (arg == "--strategy") {
-      job.strategy = value();
-    } else if (arg == "--backend") {
-      job.backend = value();
-    } else if (arg == "--seed") {
-      job.seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--nsamples") {
-      job.strategy_config.nsamples = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--nshots") {
-      job.strategy_config.nshots = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--connect-timeout-ms") {
       client_config.connect_timeout_ms =
-          static_cast<int>(std::strtol(value(), nullptr, 10));
+          static_cast<int>(u64(std::numeric_limits<int>::max()));
     } else if (arg == "--stats") {
       want_stats = true;
+    } else if (arg.starts_with("--")) {
+      try {
+        serve::set_job_field(job, arg.substr(2), value());
+      } catch (const serve::JobConfigError& e) {
+        reject(argv[0], e.what());
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       reject(argv[0], "unknown option '" + arg + "'");
     } else if (circuit_path.empty()) {

@@ -1,6 +1,6 @@
 // ptsbe_cli — the "config file / CLI selects components by name" promise of
 // the registries, end to end: every pipeline stage (PTS strategy, simulator
-// backend, shot budgets, devices, seed) is chosen by command-line flag and
+// backend, shot budgets, threads, seed) is chosen by command-line flag and
 // wired through the ptsbe::Pipeline facade. No flag maps to a type; strategy
 // and backend are plain registry names, so a plugin registered at startup is
 // immediately scriptable here.
@@ -11,7 +11,7 @@
 //
 //   ptsbe_cli --list
 //   ptsbe_cli --strategy band --p-min 1e-6 --p-max 1e-2 --backend mps
-//   ptsbe_cli --strategy enumerate --cutoff 1e-5 --devices 8 --seed 7
+//   ptsbe_cli --strategy enumerate --cutoff 1e-5 --threads 8 --seed 7
 //   ptsbe_cli --circuit bell.ptq --nshots 1000
 //   ptsbe_cli --qec repetition --distance 5 --rounds 3
 //   ptsbe_cli --compare shard_a.bin shard_b.bin --json
@@ -39,9 +39,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <string>
-
 #include <vector>
 
 #include "ptsbe/core/pipeline.hpp"
@@ -49,6 +49,7 @@
 #include "ptsbe/kernels/kernel_set.hpp"
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/qec/metrics.hpp"
+#include "ptsbe/serve/job_config.hpp"
 #include "ptsbe/stats/compare.hpp"
 #include "ptsbe/stats/merge.hpp"
 #include "ptsbe/stats/shot_table.hpp"
@@ -103,8 +104,6 @@ void usage(std::FILE* os, const char* argv0) {
       "  --threads N            worker threads for trajectory execution\n"
       "                         (0 = hardware concurrency; records are\n"
       "                         bit-identical at every thread count) [1]\n"
-      "  --devices N            simulated devices (legacy alias for the\n"
-      "                         same worker pool) [1]\n"
       "  --seed S               master seed for PTS and BE [42]\n"
       "  --cutoff P             'enumerate' probability cutoff [1e-6]\n"
       "  --p-min P --p-max P    'band' probability window [0, 1]\n"
@@ -114,10 +113,10 @@ void usage(std::FILE* os, const char* argv0) {
       argv0);
 }
 
-/// Fail fast on bad registry names: report, print usage, exit 2 — before
-/// any workload is built or any state allocated. Without this, a typo like
-/// `--strategy probablistic` used to surface only deep inside run() (and
-/// exercised none of the CLI's own output paths).
+/// Fail fast on bad registry names and malformed numbers: report, print
+/// usage, exit 2 — before any workload is built or any state allocated.
+/// Without this, a typo like `--strategy probablistic` used to surface only
+/// deep inside run(), and `--nsamples abc` ran zero specs.
 [[noreturn]] void reject(const char* argv0, const std::string& what) {
   std::fprintf(stderr, "error: %s\n\n", what.c_str());
   usage(stderr, argv0);
@@ -153,7 +152,6 @@ int main(int argc, char** argv) {
   unsigned qubits = 6;
   double noise_p = 0.01;
   std::size_t threads = 1;
-  std::size_t devices = 1;
   std::uint64_t seed = 42;
   pts::StrategyConfig cfg;
   cfg.nsamples = 2000;
@@ -167,6 +165,26 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // Strict numbers (the job-config grammar's parsers): a malformed value
+    // is a usage error naming the flag and the value.
+    const auto u64 = [&](std::uint64_t max =
+                             std::numeric_limits<std::uint64_t>::max()) {
+      try {
+        return serve::parse_u64(arg, value(), max);
+      } catch (const serve::JobConfigError& e) {
+        reject(argv[0], e.what());
+      }
+    };
+    const auto u32 = [&] {
+      return static_cast<unsigned>(u64(std::numeric_limits<unsigned>::max()));
+    };
+    const auto f64 = [&] {
+      try {
+        return serve::parse_f64(arg, value());
+      } catch (const serve::JobConfigError& e) {
+        reject(argv[0], e.what());
+      }
     };
     if (arg == "--help" || arg == "-h") {
       usage(stdout, argv[0]);
@@ -196,9 +214,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--qec") {
       qec_code = value();
     } else if (arg == "--distance") {
-      qec_distance = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      qec_distance = u32();
     } else if (arg == "--rounds") {
-      qec_rounds = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      qec_rounds = u32();
     } else if (arg == "--basis") {
       qec_basis = value();
     } else if (arg == "--decoder") {
@@ -217,35 +235,33 @@ int main(int argc, char** argv) {
       while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         merge_inputs.emplace_back(argv[++i]);
     } else if (arg == "--merge-budget") {
-      merge_budget = std::strtoull(value(), nullptr, 10);
+      merge_budget = u64();
     } else if (arg == "--view") {
       view_mode = value();
     } else if (arg == "--json") {
       json_output = true;
     } else if (arg == "--qubits") {
-      qubits = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      qubits = u32();
     } else if (arg == "--noise") {
-      noise_p = std::strtod(value(), nullptr);
+      noise_p = f64();
     } else if (arg == "--nsamples") {
-      cfg.nsamples = std::strtoull(value(), nullptr, 10);
+      cfg.nsamples = u64();
     } else if (arg == "--nshots") {
-      cfg.nshots = std::strtoull(value(), nullptr, 10);
+      cfg.nshots = u64();
     } else if (arg == "--threads") {
-      threads = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--devices") {
-      devices = std::strtoull(value(), nullptr, 10);
+      threads = u64();
     } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
+      seed = u64();
     } else if (arg == "--cutoff") {
-      cfg.probability_cutoff = std::strtod(value(), nullptr);
+      cfg.probability_cutoff = f64();
     } else if (arg == "--p-min") {
-      cfg.p_min = std::strtod(value(), nullptr);
+      cfg.p_min = f64();
     } else if (arg == "--p-max") {
-      cfg.p_max = std::strtod(value(), nullptr);
+      cfg.p_max = f64();
     } else if (arg == "--boost") {
-      cfg.boost = std::strtod(value(), nullptr);
+      cfg.boost = f64();
     } else if (arg == "--radius") {
-      cfg.radius = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      cfg.radius = u32();
     } else if (arg == "--csv") {
       csv_path = value();
     } else if (arg == "--binary") {
@@ -419,7 +435,6 @@ int main(int argc, char** argv) {
                                 .backend(qec_backend, backend_cfg)
                                 .schedule(be::schedule_from_string(schedule))
                                 .threads(threads)
-                                .devices(devices)
                                 .seed(seed)
                                 .run();
       qec::LogicalErrorAccumulator acc(*decoder, run.weighting);
@@ -427,11 +442,11 @@ int main(int argc, char** argv) {
 
       std::printf(
           "pipeline: strategy=%s backend=%s schedule=%s%s fuse=%d "
-          "threads=%zu devices=%zu seed=%llu\n",
+          "threads=%zu seed=%llu\n",
           run.strategy.c_str(), run.backend.c_str(),
           to_string(run.schedule_executed).c_str(),
           run.schedule_fell_back() ? " (fell back from shared-prefix)" : "",
-          fuse ? 1 : 0, threads, devices,
+          fuse ? 1 : 0, threads,
           static_cast<unsigned long long>(seed));
       std::printf(
           "qec: code=%s distance=%u rounds=%u basis=%s decoder=%s "
@@ -512,17 +527,16 @@ int main(int argc, char** argv) {
                               .backend(backend, backend_cfg)
                               .schedule(be::schedule_from_string(schedule))
                               .threads(threads)
-                              .devices(devices)
                               .seed(seed)
                               .run();
 
     std::printf(
         "pipeline: strategy=%s backend=%s schedule=%s%s fuse=%d threads=%zu "
-        "devices=%zu seed=%llu\n",
+        "seed=%llu\n",
         run.strategy.c_str(), run.backend.c_str(),
         to_string(run.schedule_executed).c_str(),
         run.schedule_fell_back() ? " (fell back from shared-prefix)" : "",
-        fuse ? 1 : 0, threads, devices,
+        fuse ? 1 : 0, threads,
         static_cast<unsigned long long>(seed));
     std::printf("specs=%zu shots=%llu prep=%.3fs sample=%.3fs\n", run.num_specs,
                 static_cast<unsigned long long>(run.result.total_shots()),

@@ -29,13 +29,18 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "ptsbe/net/server.hpp"
+#include "ptsbe/serve/job_config.hpp"
 
 namespace {
+
+// Strict numbers, with the job-config grammar's checks.
+using ptsbe::serve::parse_u64;
 
 volatile std::sig_atomic_t g_shutdown = 0;
 
@@ -64,15 +69,6 @@ void usage(std::FILE* os, const char* argv0) {
   std::exit(2);
 }
 
-std::size_t parse_size(const std::string& what, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end != value.c_str() + value.size() || value.empty()) {
-    throw std::runtime_error("bad " + what + " '" + value + "'");
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 /// Apply one config-file directive. Throws std::runtime_error on nonsense.
 void apply_directive(ptsbe::net::ServerConfig& config, const std::string& line,
                      std::size_t line_no) {
@@ -91,21 +87,22 @@ void apply_directive(ptsbe::net::ServerConfig& config, const std::string& line,
   if (key == "listen") {
     config.listen_host = value();
   } else if (key == "port") {
-    config.port = static_cast<std::uint16_t>(parse_size("port", value()));
+    config.port = static_cast<std::uint16_t>(parse_u64(
+        "port", value(), std::numeric_limits<std::uint16_t>::max()));
   } else if (key == "workers") {
-    config.engine.workers = parse_size("workers", value());
+    config.engine.workers = parse_u64("workers", value());
   } else if (key == "queue") {
-    config.engine.queue_capacity = parse_size("queue", value());
+    config.engine.queue_capacity = parse_u64("queue", value());
   } else if (key == "plan-cache") {
-    config.engine.plan_cache_capacity = parse_size("plan-cache", value());
+    config.engine.plan_cache_capacity = parse_u64("plan-cache", value());
   } else if (key == "quota") {
-    config.engine.tenant_quota = parse_size("quota", value());
+    config.engine.tenant_quota = parse_u64("quota", value());
   } else if (key == "tenant-quota") {
     const std::string tenant = value();
     config.engine.tenant_quota_overrides[tenant] =
-        parse_size("tenant-quota", value());
+        parse_u64("tenant-quota", value());
   } else if (key == "max-payload") {
-    config.max_payload = parse_size("max-payload", value());
+    config.max_payload = parse_u64("max-payload", value());
   } else {
     throw bad("unknown directive '" + key + "'");
   }
@@ -152,22 +149,23 @@ int main(int argc, char** argv) {
       } else if (arg == "--listen") {
         config.listen_host = value();
       } else if (arg == "--port") {
-        config.port = static_cast<std::uint16_t>(parse_size("port", value()));
+        config.port = static_cast<std::uint16_t>(parse_u64(
+            "port", value(), std::numeric_limits<std::uint16_t>::max()));
       } else if (arg == "--workers") {
-        config.engine.workers = parse_size("workers", value());
+        config.engine.workers = parse_u64("workers", value());
       } else if (arg == "--queue") {
-        config.engine.queue_capacity = parse_size("queue", value());
+        config.engine.queue_capacity = parse_u64("queue", value());
       } else if (arg == "--cache") {
-        config.engine.plan_cache_capacity = parse_size("cache", value());
+        config.engine.plan_cache_capacity = parse_u64("cache", value());
       } else if (arg == "--quota") {
-        config.engine.tenant_quota = parse_size("quota", value());
+        config.engine.tenant_quota = parse_u64("quota", value());
       } else if (arg == "--max-payload") {
-        config.max_payload = parse_size("max-payload", value());
+        config.max_payload = parse_u64("max-payload", value());
       } else if (arg == "--print-port") {
         print_port = true;
       } else if (arg == "--selftest-signal") {
         selftest_signal_ms =
-            static_cast<long>(parse_size("selftest-signal", value()));
+            static_cast<long>(parse_u64("selftest-signal", value()));
       } else {
         reject(argv[0], "unknown option '" + arg + "'");
       }

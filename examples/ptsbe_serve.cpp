@@ -9,10 +9,11 @@
 //   ptsbe_serve --workers 4 --queue 32 --repeat 16 demo.jobs
 //
 // Job-file grammar: blank lines and '#' comments are skipped; otherwise
-//   circuit=PATH [strategy=NAME] [backend=NAME] [schedule=NAME]
-//   [threads=N] [seed=S] [nsamples=N] [nshots=N] [p_min=P] [p_max=P]
-//   [cutoff=P] [fuse=0|1]
-// circuit paths are resolved relative to the job file's directory.
+//   circuit=PATH [KEY=VALUE ...]
+// where each KEY=VALUE is a job-config entry (the keys and checks of
+// ptsbe/serve/job_config.hpp, shared with the SUBMIT wire frame). circuit
+// paths are resolved relative to the job file's directory; `source`
+// defaults to the circuit path.
 
 #include <chrono>
 #include <csignal>
@@ -21,12 +22,14 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ptsbe/serve/engine.hpp"
+#include "ptsbe/serve/job_config.hpp"
 
 namespace {
 
@@ -88,27 +91,19 @@ ptsbe::serve::JobRequest parse_job_line(const std::string& line,
       throw bad("expected key=value, got '" + token + "'");
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    if (key == "circuit") circuit_path = base_dir + value;
-    else if (key == "strategy") req.strategy = value;
-    else if (key == "backend") req.backend = value;
-    else if (key == "schedule") req.schedule = ptsbe::be::schedule_from_string(value);
-    else if (key == "threads") req.threads = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "seed") req.seed = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "nsamples") req.strategy_config.nsamples = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "nshots") req.strategy_config.nshots = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "p_min") req.strategy_config.p_min = std::strtod(value.c_str(), nullptr);
-    else if (key == "p_max") req.strategy_config.p_max = std::strtod(value.c_str(), nullptr);
-    else if (key == "cutoff") req.strategy_config.probability_cutoff = std::strtod(value.c_str(), nullptr);
-    else if (key == "fuse") {
-      if (value != "0" && value != "1")
-        throw bad("fuse must be 0 or 1, got '" + value + "'");
-      req.backend_config.fuse_gates = value == "1";
+    if (key == "circuit") {
+      circuit_path = base_dir + value;
+      continue;
     }
-    else throw bad("unknown key '" + key + "'");
+    try {
+      ptsbe::serve::set_job_field(req, key, value);
+    } catch (const ptsbe::serve::JobConfigError& e) {
+      throw bad(e.what());
+    }
   }
   if (circuit_path.empty()) throw bad("missing circuit=PATH");
   req.circuit_text = read_file(circuit_path);
-  req.source_name = circuit_path;
+  if (req.source_name.empty()) req.source_name = circuit_path;
   return req;
 }
 
@@ -129,19 +124,29 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) reject(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    // Strict numbers: a malformed value is a usage error naming both.
+    const auto u64 = [&](std::uint64_t max =
+                             std::numeric_limits<std::uint64_t>::max()) {
+      try {
+        return serve::parse_u64(arg, value(), max);
+      } catch (const serve::JobConfigError& e) {
+        reject(argv[0], e.what());
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout, argv[0]);
       return 0;
     } else if (arg == "--workers") {
-      config.workers = std::strtoull(value(), nullptr, 10);
+      config.workers = u64();
     } else if (arg == "--queue") {
-      config.queue_capacity = std::strtoull(value(), nullptr, 10);
+      config.queue_capacity = u64();
     } else if (arg == "--cache") {
-      config.plan_cache_capacity = std::strtoull(value(), nullptr, 10);
+      config.plan_cache_capacity = u64();
     } else if (arg == "--repeat") {
-      repeat = std::strtoull(value(), nullptr, 10);
+      repeat = u64();
     } else if (arg == "--selftest-signal") {
-      selftest_signal_ms = std::strtol(value(), nullptr, 10);
+      selftest_signal_ms =
+          static_cast<long>(u64(std::numeric_limits<long>::max()));
     } else if (!arg.empty() && arg[0] == '-') {
       reject(argv[0], "unknown option '" + arg + "'");
     } else if (job_path.empty()) {

@@ -73,7 +73,6 @@ StreamSummary execute_streaming_shared(const NoisyCircuit& noisy,
     TrajectoryBatch batch;
     batch.spec_index = t;
     batch.spec = specs[t];
-    batch.device_id = worker;
     batch.records = std::move(shot.records);
     batch.realized_probability = shot.realized_probability;
     WorkerAccum& accum = accums[worker];
@@ -190,7 +189,6 @@ StreamSummary execute_streaming(const NoisyCircuit& noisy,
       TrajectoryBatch batch;
       batch.spec_index = t;
       batch.spec = specs[t];
-      batch.device_id = worker;
       // Reproducible per-trajectory stream, independent of scheduling.
       RngStream rng = master.substream(t);
       ShotResult shot =

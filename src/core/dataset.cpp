@@ -1,66 +1,100 @@
 #include "ptsbe/core/dataset.hpp"
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <fstream>
+#include <type_traits>
 
 #include "ptsbe/common/error.hpp"
+#include "ptsbe/core/dataset_reader.hpp"
 
 namespace ptsbe::dataset {
 
+static_assert(std::endian::native == std::endian::little,
+              "the block codec copies fields in host byte order; the format "
+              "is little-endian");
+// Branch lists and records travel as one bulk copy each, which needs their
+// in-memory layout to be the on-disk one.
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+static_assert(std::is_trivially_copyable_v<BranchChoice> &&
+              sizeof(BranchChoice) == 2 * sizeof(std::uint64_t) &&
+              offsetof(BranchChoice, site) == 0 &&
+              offsetof(BranchChoice, branch) == sizeof(std::uint64_t));
+
 namespace {
 
-// Version 2 dropped the per-batch device id: which worker prepared a batch
-// is a thread-scheduling artifact, and persisting it broke the contract
-// that a batch's *bytes* depend only on (program, spec, seed). With it
-// gone, spec-ordered exports (write_binary over a materialised Result) are
-// byte-identical at every thread count; a streamed file can still order
-// its blocks by completion, but the blocks themselves are bitwise stable.
-constexpr const char (&kMagic)[4] = kFormatMagic;
-constexpr std::uint32_t kVersion = kFormatVersion;
-
-template <typename T>
-void put(std::ofstream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::ifstream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  PTSBE_CHECK(static_cast<bool>(is), "truncated dataset file");
-  return v;
-}
-
-/// One batch block — the single serialisation point shared by the bulk and
-/// streaming writers.
-void put_batch(std::ofstream& os, const be::TrajectoryBatch& batch) {
-  put(os, static_cast<std::uint64_t>(batch.spec_index));
-  put(os, batch.spec.nominal_probability);
-  put(os, batch.realized_probability);
-  put(os, static_cast<std::uint64_t>(batch.spec.shots));
-  put(os, static_cast<std::uint64_t>(batch.spec.branches.size()));
-  for (const BranchChoice& bc : batch.spec.branches) {
-    put(os, static_cast<std::uint64_t>(bc.site));
-    put(os, static_cast<std::uint64_t>(bc.branch));
-  }
-  put(os, static_cast<std::uint64_t>(batch.records.size()));
-  os.write(reinterpret_cast<const char*>(batch.records.data()),
-           static_cast<std::streamsize>(batch.records.size() *
-                                        sizeof(std::uint64_t)));
-}
+/// spec_index, nominal, realized, shots, num_branches.
+constexpr std::size_t kBlockHeadWords = 5;
 
 /// Byte offset of the header's batch-count field (after magic + version).
-constexpr std::streamoff kBatchCountOffset = 4 + sizeof(kVersion);
-
-/// On-disk size of one batch block (mirrors put_batch exactly).
-std::uint64_t batch_bytes(const be::TrajectoryBatch& batch) {
-  return 6 * sizeof(std::uint64_t) +
-         2 * sizeof(std::uint64_t) * batch.spec.branches.size() +
-         sizeof(std::uint64_t) * batch.records.size();
-}
+constexpr std::streamoff kBatchCountOffset =
+    sizeof(kFormatMagic) + sizeof(kFormatVersion);
 
 }  // namespace
+
+std::uint64_t block_bytes(const be::TrajectoryBatch& batch) {
+  return (kBlockHeadWords + 1) * sizeof(std::uint64_t) +
+         batch.spec.branches.size() * sizeof(BranchChoice) +
+         batch.records.size() * sizeof(std::uint64_t);
+}
+
+void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write) {
+  std::uint64_t head[kBlockHeadWords] = {batch.spec_index, 0, 0,
+                                         batch.spec.shots,
+                                         batch.spec.branches.size()};
+  std::memcpy(&head[1], &batch.spec.nominal_probability, sizeof(double));
+  std::memcpy(&head[2], &batch.realized_probability, sizeof(double));
+  write(head, sizeof head);
+  if (!batch.spec.branches.empty())
+    write(batch.spec.branches.data(),
+          batch.spec.branches.size() * sizeof(BranchChoice));
+  const std::uint64_t num_records = batch.records.size();
+  write(&num_records, sizeof num_records);
+  if (num_records != 0)
+    write(batch.records.data(), num_records * sizeof(std::uint64_t));
+}
+
+void ByteSource::throw_truncated() const {
+  throw invariant_error("truncated dataset file '" + name_ + "'");
+}
+
+void MemorySource::copy(std::uint64_t offset, void* dst, std::size_t n) {
+  std::memcpy(dst, bytes_.data() + offset, n);
+}
+
+std::uint64_t decode_block(ByteSource& source, std::uint64_t offset,
+                           be::TrajectoryBatch* out) {
+  std::uint64_t head[kBlockHeadWords] = {};
+  source.read_at(offset, head, sizeof head);
+  const std::uint64_t branches_at = offset + sizeof head;
+  // Hostile-length guards: each count is bounded by the bytes that remain
+  // *before* any allocation.
+  const std::uint64_t num_branches = head[4];
+  if (num_branches > (source.size() - branches_at) / sizeof(BranchChoice))
+    source.throw_truncated();
+  const std::uint64_t branch_bytes = num_branches * sizeof(BranchChoice);
+  std::uint64_t num_records = 0;
+  source.read_at(branches_at + branch_bytes, &num_records, sizeof num_records);
+  const std::uint64_t records_at =
+      branches_at + branch_bytes + sizeof num_records;
+  if (num_records > (source.size() - records_at) / sizeof(std::uint64_t))
+    source.throw_truncated();
+  const std::uint64_t record_bytes = num_records * sizeof(std::uint64_t);
+  if (out != nullptr) {
+    out->spec_index = static_cast<std::size_t>(head[0]);
+    std::memcpy(&out->spec.nominal_probability, &head[1], sizeof(double));
+    std::memcpy(&out->realized_probability, &head[2], sizeof(double));
+    out->spec.shots = head[3];
+    out->spec.branches.resize(num_branches);
+    source.read_at(branches_at, out->spec.branches.data(), branch_bytes);
+    out->records.resize(num_records);
+    source.read_at(records_at, out->records.data(), record_bytes);
+  }
+  return records_at + record_bytes;
+}
 
 void write_csv(const std::string& path, const be::Result& result) {
   std::ofstream os(path);
@@ -92,9 +126,11 @@ StreamWriter::StreamWriter(const std::string& path)
       os_(path, std::ios::binary),
       uncaught_at_open_(std::uncaught_exceptions()) {
   if (!os_) throw runtime_failure("cannot open '" + path + "' for writing");
-  os_.write(kMagic, 4);
-  put(os_, kVersion);
-  put(os_, std::uint64_t{0});  // batch count, patched by flush()/close()
+  const std::uint64_t count = 0;  // patched by flush()/close()
+  os_.write(kFormatMagic, sizeof kFormatMagic);
+  os_.write(reinterpret_cast<const char*>(&kFormatVersion),
+            sizeof kFormatVersion);
+  os_.write(reinterpret_cast<const char*>(&count), sizeof count);
   bytes_ = kHeaderBytes;
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
 }
@@ -112,17 +148,19 @@ StreamWriter::~StreamWriter() {
 
 void StreamWriter::append(const be::TrajectoryBatch& batch) {
   PTSBE_REQUIRE(!closed_, "StreamWriter is closed");
-  put_batch(os_, batch);
+  encode_block(batch, [this](const void* data, std::size_t n) {
+    os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+  });
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
   ++count_;
   records_ += batch.records.size();
-  bytes_ += batch_bytes(batch);
+  bytes_ += block_bytes(batch);
 }
 
 void StreamWriter::flush() {
   PTSBE_REQUIRE(!closed_, "StreamWriter is closed");
   os_.seekp(kBatchCountOffset);
-  put(os_, count_);
+  os_.write(reinterpret_cast<const char*>(&count_), sizeof count_);
   os_.flush();
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
   // Return the put position to the end so the next append() extends the
@@ -134,7 +172,7 @@ void StreamWriter::flush() {
 void StreamWriter::close() {
   if (closed_) return;
   os_.seekp(kBatchCountOffset);
-  put(os_, count_);
+  os_.write(reinterpret_cast<const char*>(&count_), sizeof count_);
   os_.flush();
   closed_ = true;
   if (!os_) throw runtime_failure("error while writing '" + path_ + "'");
@@ -142,39 +180,12 @@ void StreamWriter::close() {
 }
 
 be::Result read_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw runtime_failure("cannot open '" + path + "' for reading");
-  char magic[4];
-  is.read(magic, 4);
-  if (!is || std::string(magic, 4) != std::string(kMagic, 4))
-    throw runtime_failure("'" + path + "' is not a PTSB dataset");
-  const auto version = get<std::uint32_t>(is);
-  if (version != kVersion)
-    throw runtime_failure(
-        "unsupported dataset version " + std::to_string(version) +
-        (version == 1 ? " (version 1 embedded scheduler-dependent device "
-                        "ids; regenerate the dataset)"
-                      : ""));
+  Reader reader(path);
   be::Result result;
-  const auto num_batches = get<std::uint64_t>(is);
-  result.batches.resize(num_batches);
-  for (be::TrajectoryBatch& batch : result.batches) {
-    batch.spec_index = get<std::uint64_t>(is);
-    batch.spec.nominal_probability = get<double>(is);
-    batch.realized_probability = get<double>(is);
-    batch.spec.shots = get<std::uint64_t>(is);
-    const auto num_branches = get<std::uint64_t>(is);
-    batch.spec.branches.resize(num_branches);
-    for (BranchChoice& bc : batch.spec.branches) {
-      bc.site = get<std::uint64_t>(is);
-      bc.branch = get<std::uint64_t>(is);
-    }
-    const auto num_records = get<std::uint64_t>(is);
-    batch.records.resize(num_records);
-    is.read(reinterpret_cast<char*>(batch.records.data()),
-            static_cast<std::streamsize>(num_records * sizeof(std::uint64_t)));
-    PTSBE_CHECK(static_cast<bool>(is), "truncated dataset file");
-  }
+  // No reserve from the header's batch count: a hostile count must never
+  // reach the allocator.
+  be::TrajectoryBatch batch;
+  while (reader.next(batch)) result.batches.push_back(std::move(batch));
   return result;
 }
 

@@ -67,17 +67,12 @@ struct Options {
   /// Worker threads for inter-trajectory parallelism (the work-stealing
   /// `TrajectoryExecutor`): 0 = hardware concurrency, 1 (default) = serial
   /// execution on one worker. Records are bit-identical at every thread
-  /// count; only batch *completion order* (and the diagnostic per-batch
-  /// `device_id`) depends on scheduling. Inner backend kernels may also be
-  /// OpenMP-parallel — cap them (OMP_NUM_THREADS=1) when oversubscription
-  /// matters.
+  /// count; only batch *completion order* depends on scheduling. Inner
+  /// backend kernels may also be OpenMP-parallel — cap them
+  /// (OMP_NUM_THREADS=1) when oversubscription matters.
   std::size_t threads = 1;
-  /// Legacy name for the same worker pool ("simulated devices"); the
-  /// effective worker count is max(threads, num_devices) — see
-  /// `be::resolved_threads`.
-  std::size_t num_devices = 1;
   /// Master seed; trajectory t uses substream (t+1) so results are
-  /// reproducible regardless of device scheduling.
+  /// reproducible regardless of worker scheduling.
   std::uint64_t seed = 0x5EEDBA5EDULL;
   /// Optional pre-built execution plan. When set, BE skips the per-call
   /// `Backend::make_plan` (fusion + lowering) and sweeps this plan instead —
@@ -105,10 +100,6 @@ struct TrajectoryBatch {
   /// second amplitude-damping decay on an already-decayed qubit); such
   /// batches carry no records.
   double realized_probability = 1.0;
-  /// Executor worker ("simulated device") that prepared this trajectory.
-  /// Diagnostics only: under work stealing the value depends on thread
-  /// scheduling, which is why the dataset formats do not persist it.
-  std::size_t device_id = 0;
 };
 
 /// Full BE output.
@@ -151,7 +142,7 @@ struct StreamSummary {
 /// Execute `specs` against `noisy` with batched sampling.
 ///
 /// The backend named by `options.backend` is resolved once through the
-/// BackendRegistry and shared across all simulated devices; each spec is
+/// BackendRegistry and shared across all workers; each spec is
 /// one `Backend::run` call (prepare the trajectory once, bulk-draw its shot
 /// budget — unitary-mixture branches apply U_k directly, general branches
 /// apply K_k/√p with the realised p accumulated into the batch's importance

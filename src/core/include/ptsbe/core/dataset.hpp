@@ -15,23 +15,105 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ptsbe/core/batched_execution.hpp"
 
 namespace ptsbe::dataset {
 
-/// Binary-format framing shared by the writers here and the out-of-core
-/// reader layer (`ptsbe::stats`): magic, current version, and the fixed
-/// header size (magic + version + u64 batch count). These are part of the
-/// on-disk contract — bump `kFormatVersion` on any incompatible layout
-/// change and keep the version-rejection diagnostics in both readers in
-/// sync.
+/// Binary-format framing shared by the writers here, `Reader` and the net
+/// BATCH frame: magic, current version, and the fixed header size (magic +
+/// version + u64 batch count). These are part of the on-disk contract —
+/// bump `kFormatVersion` on any incompatible layout change.
 inline constexpr char kFormatMagic[4] = {'P', 'T', 'S', 'B'};
 inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderBytes =
     sizeof(kFormatMagic) + sizeof(kFormatVersion) + sizeof(std::uint64_t);
+
+// ---------------------------------------------------------------------------
+// The batch block codec. One format-v2 block holds one TrajectoryBatch, as
+// little-endian fixed-width fields (doubles as raw IEEE-754 bit patterns):
+//
+//   u64 spec_index | f64 nominal_probability | f64 realized_probability |
+//   u64 shots | u64 num_branches | num_branches x (u64 site, u64 branch) |
+//   u64 num_records | num_records x u64 record
+//
+// A dataset file is the header followed by blocks; a net BATCH payload is
+// exactly one block. These three functions are the only code that writes,
+// sizes or reads a block.
+// ---------------------------------------------------------------------------
+
+/// Bytes of the block `encode_block` writes for `batch`.
+[[nodiscard]] std::uint64_t block_bytes(const be::TrajectoryBatch& batch);
+
+/// Receives an encoded block as a few contiguous pieces, in order.
+using BlockWriter = std::function<void(const void* data, std::size_t n)>;
+
+/// Encode `batch` as one block. The branch list and the records each go to
+/// `write` as one piece straight from the batch's vectors, so a file
+/// writer never copies them.
+void encode_block(const be::TrajectoryBatch& batch, const BlockWriter& write);
+
+/// Random-access bytes holding blocks: a mapped or pread file (see
+/// `Reader`) or an in-memory buffer (`MemorySource`). `read_at` checks
+/// every range, so a source that ends early reports "truncated dataset
+/// file" instead of yielding garbage.
+class ByteSource {
+ public:
+  ByteSource(std::uint64_t size, std::string name)
+      : size_(size), name_(std::move(name)) {}
+  virtual ~ByteSource() = default;
+  ByteSource(const ByteSource&) = delete;
+  ByteSource& operator=(const ByteSource&) = delete;
+
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+  /// Label used in diagnostics (the file path, or what the buffer is).
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] virtual bool mapped() const noexcept { return false; }
+
+  /// Copy `n` bytes at `offset` into `dst`.
+  /// \throws invariant_error when [offset, offset+n) exceeds the source.
+  void read_at(std::uint64_t offset, void* dst, std::size_t n) {
+    if (offset > size_ || n > size_ - offset) throw_truncated();
+    if (n != 0) copy(offset, dst, n);
+  }
+
+  /// \throws invariant_error ("truncated dataset file '<name>'").
+  [[noreturn]] void throw_truncated() const;
+
+ protected:
+  /// Copy an in-range span (`read_at` has checked the bounds; n > 0).
+  virtual void copy(std::uint64_t offset, void* dst, std::size_t n) = 0;
+
+ private:
+  std::uint64_t size_;
+  std::string name_;
+};
+
+/// A ByteSource over bytes already in memory (a BATCH payload). The bytes
+/// must outlive the source.
+class MemorySource final : public ByteSource {
+ public:
+  MemorySource(std::string_view bytes, std::string name)
+      : ByteSource(bytes.size(), std::move(name)), bytes_(bytes) {}
+
+ private:
+  void copy(std::uint64_t offset, void* dst, std::size_t n) override;
+  std::string_view bytes_;
+};
+
+/// Decode the block at `offset` of `source` into `out` (its vectors are
+/// reused), or, when `out` is null, skip it reading only its two length
+/// fields. Every length is checked against the bytes left before anything
+/// is allocated. Returns the offset just past the block.
+/// \throws invariant_error ("truncated dataset file '<source name>'") when
+///         the block runs past the end of `source`.
+std::uint64_t decode_block(ByteSource& source, std::uint64_t offset,
+                           be::TrajectoryBatch* out);
 
 /// Write a BE result as CSV: columns
 /// `trajectory,shot,record,nominal_probability,errors` where `errors` is a
@@ -123,8 +205,10 @@ class StreamWriter {
 };
 
 /// Read a binary dataset back (round-trip of write_binary; prepare/sample
-/// timings are not persisted).
-/// \throws runtime_failure on missing/corrupt files.
+/// timings are not persisted): a loop over `Reader`, so it accepts and
+/// rejects exactly the files `Reader` does.
+/// \throws runtime_failure on missing files and bad headers;
+///         invariant_error on truncated or hostile-length blocks.
 [[nodiscard]] be::Result read_binary(const std::string& path);
 
 }  // namespace ptsbe::dataset

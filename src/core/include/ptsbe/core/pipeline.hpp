@@ -18,7 +18,7 @@
 /// const RunResult run = Pipeline(circuit, noise)
 ///                           .strategy("band", cfg)
 ///                           .backend("mps", mps_cfg)
-///                           .devices(8)
+///                           .threads(8)
 ///                           .seed(42)
 ///                           .run();
 /// const auto tail = run.estimate_probability(accept);
@@ -114,11 +114,6 @@ class Pipeline {
   /// count — see be::Options::threads.
   Pipeline& threads(std::size_t num_threads);
 
-  /// Simulated devices for inter-trajectory parallelism (default 1).
-  /// Legacy alias for the same worker pool as `threads`; the effective
-  /// worker count is the max of the two knobs.
-  Pipeline& devices(std::size_t num_devices);
-
   /// Master seed for *both* stages: PTS samples from the master stream
   /// (subsequence 0) and BE gives trajectory t substream t+1, so the two
   /// stages never share randomness and a seed pins the entire run.
@@ -143,7 +138,7 @@ class Pipeline {
   /// PTS → BE, materialising every batch.
   [[nodiscard]] RunResult run() const;
 
-  /// PTS → streaming BE: batches are delivered to `sink` as devices finish
+  /// PTS → streaming BE: batches are delivered to `sink` as workers finish
   /// (see be::execute_streaming) instead of accumulating in a RunResult.
   be::StreamSummary run_streaming(const be::BatchSink& sink) const;
 

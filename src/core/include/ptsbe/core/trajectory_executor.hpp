@@ -14,9 +14,7 @@
 /// Determinism contract: the executor adds no randomness and never splits a
 /// spec, so any task placement yields bit-identical records — each spec
 /// samples from its own Philox substream and preparation consumes no
-/// randomness at all. Only completion *order* (and the diagnostic
-/// `TrajectoryBatch::device_id`, the id of the worker that prepared the
-/// batch) depends on scheduling.
+/// randomness at all. Only completion *order* depends on scheduling.
 ///
 /// Thread model:
 ///  - `spawn` seeds work before `drain` (caller thread) or adds work from
@@ -89,8 +87,7 @@ class WorkerTask {
 };
 
 /// Resolve `Options::threads` to a concrete worker count: 0 means hardware
-/// concurrency (at least 1); the legacy `Options::num_devices` knob maps
-/// onto the same pool, so the effective count is the max of the two.
+/// concurrency (at least 1).
 [[nodiscard]] std::size_t resolved_threads(const Options& options) noexcept;
 
 /// The work-stealing pool plus the lock-free completion queue. One instance

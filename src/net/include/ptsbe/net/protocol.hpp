@@ -16,7 +16,8 @@
 /// decimal bytes. Frames the client sends:
 ///
 ///  - `SUBMIT <tenant> <priority> <len>` — one job. The payload is zero or
-///    more `key=value` job-config lines, then a line containing exactly
+///    more `key=value` job-config lines (the grammar of
+///    ptsbe/serve/job_config.hpp), then a line containing exactly
 ///    `circuit`, then the `.ptq` text verbatim (so `ParseError`
 ///    line:column positions are relative to the `.ptq` section).
 ///  - `STATS 0` — request the engine's per-tenant counters as JSON.
@@ -25,9 +26,11 @@
 /// Frames the server sends (per SUBMIT, in order):
 ///
 ///  - `ACK 0` — the frame was read and the job is being admitted.
-///  - `BATCH <len>` — one serialised `be::TrajectoryBatch`, streamed off
-///    the engine's `BatchSink` path as the worker completes it
-///    (completion order; reassemble by `spec_index`).
+///  - `BATCH <len>` — one `be::TrajectoryBatch` as one PTSB format-v2
+///    dataset block (the layout in ptsbe/core/dataset.hpp, written and
+///    read by the same codec as dataset files), streamed off the engine's
+///    `BatchSink` path as the worker completes it (completion order;
+///    reassemble by `spec_index`).
 ///  - `RESULT <len>` — run metadata (`key=value` lines: job_id, strategy,
 ///    backend, weighting, schedules, num_specs, num_batches,
 ///    plan_cache_hit).
@@ -41,7 +44,8 @@
 /// Batch payloads are little-endian fixed-width binary (doubles as raw
 /// IEEE-754 bit patterns), so a batch round-trips *bit-identically* — the
 /// loopback determinism matrix pins served bytes to standalone
-/// `Pipeline::run`.
+/// `Pipeline::run`, and a BATCH payload appended to a dataset header is a
+/// one-batch dataset file.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,8 +59,9 @@
 
 namespace ptsbe::net {
 
-/// Protocol revision (bumped on incompatible frame changes).
-inline constexpr int kProtocolVersion = 1;
+/// Protocol revision (bumped on incompatible frame changes; 2 = BATCH
+/// payloads are dataset blocks).
+inline constexpr int kProtocolVersion = 2;
 /// Hard bound on one header line, including the trailing newline.
 inline constexpr std::size_t kMaxHeaderBytes = 256;
 /// Default bound on one frame payload (servers reject bigger with
@@ -140,12 +145,12 @@ class FdStream {
   std::size_t pos_ = 0;  ///< Consumed prefix of buf_.
 };
 
-/// Serialise one trajectory batch as the BATCH payload (little-endian;
-/// doubles bit-exact). `device_id` is deliberately not carried: it is a
-/// scheduling artifact the dataset formats also drop.
+/// Serialise one trajectory batch as the BATCH payload: its
+/// `dataset::encode_block` bytes.
 [[nodiscard]] std::string encode_batch(const be::TrajectoryBatch& batch);
 
-/// Decode a BATCH payload. \throws ProtocolError on malformed bytes.
+/// Decode a BATCH payload with `dataset::decode_block`.
+/// \throws ProtocolError on truncated, hostile-length or trailing bytes.
 [[nodiscard]] be::TrajectoryBatch decode_batch(std::string_view bytes);
 
 /// Serialise the pipeline configuration of `job` (strategy/backend/
@@ -155,9 +160,10 @@ class FdStream {
 /// / server-side) and are not encoded.
 [[nodiscard]] std::string encode_submit_payload(const serve::JobRequest& job);
 
-/// Parse a SUBMIT payload back into a JobRequest (circuit_text + config;
-/// tenant/priority left at defaults for the caller to fill from the frame
-/// args). \throws ProtocolError(errc::kParse) on malformed config lines.
+/// Parse a SUBMIT payload back into a JobRequest (circuit_text + config,
+/// each line through `serve::set_job_field`; tenant/priority left at
+/// defaults for the caller to fill from the frame args).
+/// \throws ProtocolError(errc::kParse) on malformed config lines.
 [[nodiscard]] serve::JobRequest decode_submit_payload(std::string_view payload);
 
 /// Run metadata carried by the RESULT frame.

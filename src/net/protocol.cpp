@@ -10,6 +10,9 @@
 #include <cstring>
 #include <utility>
 
+#include "ptsbe/core/dataset.hpp"
+#include "ptsbe/serve/job_config.hpp"
+
 namespace ptsbe::net {
 
 namespace {
@@ -17,61 +20,6 @@ namespace {
 [[noreturn]] void throw_errno(const char* what) {
   throw runtime_failure(std::string(what) + ": " + std::strerror(errno));
 }
-
-// ---------------------------------------------------------------------------
-// Little-endian primitives. Doubles travel as their raw IEEE-754 bit pattern
-// so a batch round-trips bit-identically regardless of formatting locale.
-
-void put_u64(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_f64(std::string& out, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over one payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint64_t u64() {
-    if (bytes_.size() - pos_ < 8) {
-      throw ProtocolError(errc::kProtocol, "truncated batch payload");
-    }
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(bytes_[pos_ + i]))
-               << (8 * i);
-    }
-    pos_ += 8;
-    return value;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept {
-    return pos_ == bytes_.size();
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // key=value text codec helpers. Doubles use hexfloat (%a / strtod), which is
@@ -93,36 +41,6 @@ void put_kv_f64(std::string& out, const char* key, double value) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", value);
   put_kv(out, key, buf);
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    throw ProtocolError(errc::kParse, "bad integer for '" + key + "': '" +
-                                          value + "'");
-  }
-  return out;
-}
-
-double parse_f64(const std::string& key, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size() || value.empty()) {
-    throw ProtocolError(errc::kParse,
-                        "bad number for '" + key + "': '" + value + "'");
-  }
-  return out;
-}
-
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "1" || value == "true") return true;
-  if (value == "0" || value == "false") return false;
-  throw ProtocolError(errc::kParse,
-                      "bad flag for '" + key + "': '" + value +
-                          "' (want 0|1|true|false)");
 }
 
 /// Split `text` into lines (without terminators), invoking `fn(line)` for
@@ -329,49 +247,23 @@ void FdStream::write_frame(const Frame& frame) {
 
 std::string encode_batch(const be::TrajectoryBatch& batch) {
   std::string out;
-  out.reserve(40 + 16 * batch.spec.branches.size() +
-              8 * batch.records.size());
-  put_u64(out, batch.spec_index);
-  put_u64(out, batch.spec.shots);
-  put_f64(out, batch.spec.nominal_probability);
-  put_f64(out, batch.realized_probability);
-  put_u64(out, batch.spec.branches.size());
-  for (const BranchChoice& choice : batch.spec.branches) {
-    put_u64(out, choice.site);
-    put_u64(out, choice.branch);
-  }
-  put_u64(out, batch.records.size());
-  for (const std::uint64_t record : batch.records) put_u64(out, record);
+  out.reserve(dataset::block_bytes(batch));
+  dataset::encode_block(batch, [&out](const void* data, std::size_t n) {
+    out.append(static_cast<const char*>(data), n);
+  });
   return out;
 }
 
 be::TrajectoryBatch decode_batch(std::string_view bytes) {
-  Cursor cur(bytes);
+  dataset::MemorySource source(bytes, "BATCH payload");
   be::TrajectoryBatch batch;
-  batch.spec_index = static_cast<std::size_t>(cur.u64());
-  batch.spec.shots = cur.u64();
-  batch.spec.nominal_probability = cur.f64();
-  batch.realized_probability = cur.f64();
-  const std::uint64_t nbranches = cur.u64();
-  if (nbranches > cur.remaining() / 16) {
+  std::uint64_t end = 0;
+  try {
+    end = dataset::decode_block(source, 0, &batch);
+  } catch (const invariant_error&) {
     throw ProtocolError(errc::kProtocol, "truncated batch payload");
   }
-  batch.spec.branches.reserve(static_cast<std::size_t>(nbranches));
-  for (std::uint64_t i = 0; i < nbranches; ++i) {
-    BranchChoice choice;
-    choice.site = static_cast<std::size_t>(cur.u64());
-    choice.branch = static_cast<std::size_t>(cur.u64());
-    batch.spec.branches.push_back(choice);
-  }
-  const std::uint64_t nrecords = cur.u64();
-  if (nrecords > cur.remaining() / 8) {
-    throw ProtocolError(errc::kProtocol, "truncated batch payload");
-  }
-  batch.records.reserve(static_cast<std::size_t>(nrecords));
-  for (std::uint64_t i = 0; i < nrecords; ++i) {
-    batch.records.push_back(cur.u64());
-  }
-  if (!cur.exhausted()) {
+  if (end != bytes.size()) {
     throw ProtocolError(errc::kProtocol, "trailing bytes after batch payload");
   }
   return batch;
@@ -434,59 +326,9 @@ serve::JobRequest decode_submit_payload(std::string_view payload) {
                                   std::string(line) +
                                   "' (want key=value, or 'circuit')");
         }
-        const std::string key(line.substr(0, eq));
-        const std::string value(line.substr(eq + 1));
         try {
-          if (key == "source") {
-            job.source_name = value;
-          } else if (key == "strategy") {
-            job.strategy = value;
-          } else if (key == "backend") {
-            job.backend = value;
-          } else if (key == "schedule") {
-            job.schedule = be::schedule_from_string(value);
-          } else if (key == "threads") {
-            job.threads = static_cast<std::size_t>(parse_u64(key, value));
-          } else if (key == "seed") {
-            job.seed = parse_u64(key, value);
-          } else if (key == "nsamples") {
-            job.strategy_config.nsamples =
-                static_cast<std::size_t>(parse_u64(key, value));
-          } else if (key == "nshots") {
-            job.strategy_config.nshots = parse_u64(key, value);
-          } else if (key == "merge") {
-            job.strategy_config.merge_duplicates = parse_bool(key, value);
-          } else if (key == "p_min") {
-            job.strategy_config.p_min = parse_f64(key, value);
-          } else if (key == "p_max") {
-            job.strategy_config.p_max = parse_f64(key, value);
-          } else if (key == "cutoff") {
-            job.strategy_config.probability_cutoff = parse_f64(key, value);
-          } else if (key == "max_results") {
-            job.strategy_config.max_results =
-                static_cast<std::size_t>(parse_u64(key, value));
-          } else if (key == "total_shots") {
-            job.strategy_config.total_shots = parse_u64(key, value);
-          } else if (key == "boost") {
-            job.strategy_config.boost = parse_f64(key, value);
-          } else if (key == "radius") {
-            job.strategy_config.radius =
-                static_cast<unsigned>(parse_u64(key, value));
-          } else if (key == "fuse") {
-            job.backend_config.fuse_gates = parse_bool(key, value);
-          } else if (key == "mps_max_bond") {
-            job.backend_config.mps.max_bond =
-                static_cast<std::size_t>(parse_u64(key, value));
-          } else if (key == "mps_trunc") {
-            job.backend_config.mps.truncation_error = parse_f64(key, value);
-          } else {
-            throw ProtocolError(errc::kParse,
-                                "unknown job-config key '" + key + "'");
-          }
-        } catch (const ProtocolError&) {
-          throw;
-        } catch (const std::exception& e) {
-          // e.g. schedule_from_string precondition_error → wire parse error.
+          serve::set_job_field(job, line.substr(0, eq), line.substr(eq + 1));
+        } catch (const serve::JobConfigError& e) {
           throw ProtocolError(errc::kParse, e.what());
         }
         return true;
@@ -529,7 +371,7 @@ ResultMeta decode_result_meta(std::string_view payload) {
     const std::string value(line.substr(eq + 1));
     try {
       if (key == "job_id") {
-        meta.job_id = parse_u64(key, value);
+        meta.job_id = serve::parse_u64(key, value);
       } else if (key == "strategy") {
         meta.strategy = value;
       } else if (key == "backend") {
@@ -541,11 +383,11 @@ ResultMeta decode_result_meta(std::string_view payload) {
       } else if (key == "schedule_executed") {
         meta.schedule_executed = be::schedule_from_string(value);
       } else if (key == "num_specs") {
-        meta.num_specs = parse_u64(key, value);
+        meta.num_specs = serve::parse_u64(key, value);
       } else if (key == "num_batches") {
-        meta.num_batches = parse_u64(key, value);
+        meta.num_batches = serve::parse_u64(key, value);
       } else if (key == "plan_cache_hit") {
-        meta.plan_cache_hit = parse_bool(key, value);
+        meta.plan_cache_hit = serve::parse_bool(key, value);
       } else {
         throw ProtocolError(errc::kProtocol,
                             "unknown RESULT key '" + key + "'");
@@ -606,10 +448,14 @@ WireError decode_error(std::string_view payload) {
     if (eq != std::string_view::npos) {
       const std::string key(line.substr(0, eq));
       const std::string value(line.substr(eq + 1));
-      if (key == "line") {
-        error.line = static_cast<std::size_t>(parse_u64(key, value));
-      } else if (key == "column") {
-        error.column = static_cast<std::size_t>(parse_u64(key, value));
+      try {
+        if (key == "line") {
+          error.line = serve::parse_u64(key, value);
+        } else if (key == "column") {
+          error.column = serve::parse_u64(key, value);
+        }
+      } catch (const serve::JobConfigError& e) {
+        throw ProtocolError(errc::kProtocol, e.what());
       }
     }
     pos = eol + 1;

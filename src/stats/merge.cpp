@@ -11,14 +11,6 @@ namespace ptsbe::stats {
 
 namespace {
 
-/// On-disk bytes of one batch block (mirrors the dataset writer's layout:
-/// six fixed u64-sized fields + the branch pairs + the records).
-std::uint64_t block_bytes(const be::TrajectoryBatch& batch) {
-  return 6 * sizeof(std::uint64_t) +
-         2 * sizeof(std::uint64_t) * batch.spec.branches.size() +
-         sizeof(std::uint64_t) * batch.records.size();
-}
-
 /// One input shard: its reader and the buffered head batch.
 struct Input {
   explicit Input(const std::string& path, dataset::ViewMode view)
@@ -60,7 +52,7 @@ MergeReport merge_datasets(const std::string& out_path,
     buffered -= shard.head_bytes;
     shard.head_bytes = 0;
     if (shard.reader.next(shard.head)) {
-      shard.head_bytes = block_bytes(shard.head);
+      shard.head_bytes = dataset::block_bytes(shard.head);
       account(shard.head_bytes);
     } else {
       shard.exhausted = true;
@@ -69,14 +61,7 @@ MergeReport merge_datasets(const std::string& out_path,
 
   for (const std::string& path : inputs) {
     shards.push_back(std::make_unique<Input>(path, options.view));
-    Input& shard = *shards.back();
-    shard.head_bytes = 0;
-    if (shard.reader.next(shard.head)) {
-      shard.head_bytes = block_bytes(shard.head);
-      account(shard.head_bytes);
-    } else {
-      shard.exhausted = true;
-    }
+    advance(*shards.back());
   }
 
   dataset::StreamWriter writer(out_path);

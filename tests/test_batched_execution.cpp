@@ -147,18 +147,14 @@ TEST(BatchedExecution, MpsBackendMatchesStatevectorBackend) {
 }
 
 TEST(BatchedExecution, ResolvedThreadsMapsKnobsToWorkerCount) {
-  be::Options options;  // threads = 1, num_devices = 1
+  be::Options options;  // threads = 1
   EXPECT_EQ(be::resolved_threads(options), 1u);
   options.threads = 6;
   EXPECT_EQ(be::resolved_threads(options), 6u);
-  // The legacy devices knob maps onto the same pool: effective = max.
-  options.num_devices = 8;
-  EXPECT_EQ(be::resolved_threads(options), 8u);
   options.threads = 12;
   EXPECT_EQ(be::resolved_threads(options), 12u);
   // 0 = hardware concurrency, never less than one worker.
   options.threads = 0;
-  options.num_devices = 1;
   EXPECT_GE(be::resolved_threads(options), 1u);
 }
 
@@ -190,13 +186,13 @@ TEST(BatchedExecution, MultiDeviceMatchesSingleDevice) {
   opt.nshots = 20;
   const auto specs = pts::sample_probabilistic(noisy, opt, rng);
   be::Options one, four;
-  one.num_devices = 1;
-  four.num_devices = 4;
+  one.threads = 1;
+  four.threads = 4;
   const auto r1 = be::execute(noisy, specs, one);
   const auto r4 = be::execute(noisy, specs, four);
   ASSERT_EQ(r1.batches.size(), r4.batches.size());
   // Per-trajectory RNG substreams make results identical regardless of
-  // device count and scheduling order.
+  // worker count and scheduling order.
   for (std::size_t i = 0; i < r1.batches.size(); ++i)
     EXPECT_EQ(r1.batches[i].records, r4.batches[i].records);
 }

@@ -193,6 +193,13 @@ TEST(NetProtocol, SubmitPayloadRejectsMalformedConfig) {
   EXPECT_EQ(code_of("seed=notanumber\ncircuit\nptq 1\n"), net::errc::kParse);
   EXPECT_EQ(code_of("schedule=bogus\ncircuit\nptq 1\n"), net::errc::kParse);
   EXPECT_EQ(code_of("fuse=2\ncircuit\nptq 1\n"), net::errc::kParse);
+  // Strict numbers: no sign, no blanks, no empty value, no silent
+  // narrowing of an out-of-range integer.
+  EXPECT_EQ(code_of("nsamples=-1\ncircuit\nptq 1\n"), net::errc::kParse);
+  EXPECT_EQ(code_of("p_max=\ncircuit\nptq 1\n"), net::errc::kParse);
+  EXPECT_EQ(code_of("p_max= 0.5\ncircuit\nptq 1\n"), net::errc::kParse);
+  EXPECT_EQ(code_of("radius=4294967296\ncircuit\nptq 1\n"),
+            net::errc::kParse);
 }
 
 TEST(NetProtocol, SubmitEncodeRejectsNewlinesInStringFields) {

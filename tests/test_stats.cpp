@@ -27,7 +27,7 @@
 #include "ptsbe/noise/channels.hpp"
 #include "ptsbe/serve/engine.hpp"
 #include "ptsbe/stats/compare.hpp"
-#include "ptsbe/stats/dataset_reader.hpp"
+#include "ptsbe/core/dataset_reader.hpp"
 #include "ptsbe/stats/merge.hpp"
 #include "ptsbe/stats/shot_table.hpp"
 
@@ -194,22 +194,99 @@ TEST(StatsReader, RejectsForeignAndVersionedHeaders) {
 }
 
 TEST(StatsReader, HostileLengthFieldsFailBeforeAllocation) {
+  // Each input declares more than the bytes that follow could hold. Every
+  // reader of the block format must reject it with the same diagnostic,
+  // before allocating what the length field claims (read_binary used to
+  // throw std::bad_alloc on the last two).
   const std::string path = temp_path("hostile");
-  // Header declaring one batch, then a block whose num_branches field
-  // claims more pairs than the file could possibly hold.
-  std::string bytes("PTSB", 4);
-  const std::uint32_t version = dataset::kFormatVersion;
-  const std::uint64_t count = 1;
-  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  const std::uint64_t fixed[5] = {0, 0, 0, 4,
-                                  std::numeric_limits<std::uint64_t>::max()};
-  bytes.append(reinterpret_cast<const char*>(fixed), sizeof(fixed));
-  spit(path, bytes);
+  const auto header = [](std::uint64_t count) {
+    std::string bytes("PTSB", 4);
+    const std::uint32_t version = dataset::kFormatVersion;
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    return bytes;
+  };
+  const auto words = [](std::vector<std::uint64_t> values) {
+    return std::string(reinterpret_cast<const char*>(values.data()),
+                       values.size() * sizeof(std::uint64_t));
+  };
+  struct Hostile {
+    const char* what;
+    std::string file;
+  };
+  const std::uint64_t huge = std::numeric_limits<std::uint64_t>::max();
+  const Hostile inputs[] = {
+      {"num_branches = 2^64-1", header(1) + words({0, 0, 0, 4, huge})},
+      {"20-byte file claiming 2^40 batches",
+       header(std::uint64_t{1} << 40) + std::string(4, '\0')},
+      {"one batch claiming 2^36 records",
+       header(1) + words({0, 0, 0, 4, 0, std::uint64_t{1} << 36, 7})},
+  };
+  for (const Hostile& input : inputs) {
+    SCOPED_TRACE(input.what);
+    spit(path, input.file);
+    const auto expect_truncated = [](const auto& read) {
+      try {
+        read();
+        ADD_FAILURE() << "hostile input accepted";
+      } catch (const invariant_error& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated dataset file"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_truncated([&] { (void)dataset::read_binary(path); });
+    for (const dataset::ViewMode mode :
+         {dataset::ViewMode::kMmap, dataset::ViewMode::kStream}) {
+      SCOPED_TRACE(dataset::to_string(mode));
+      expect_truncated([&] {
+        dataset::Reader reader(path, mode);
+        be::TrajectoryBatch batch;
+        while (reader.next(batch)) {
+        }
+      });
+      expect_truncated([&] {
+        dataset::Reader(path, mode).seek_batch(1);
+      });
+    }
+    // The same block bytes as a BATCH payload.
+    EXPECT_THROW(
+        (void)net::decode_batch(input.file.substr(dataset::kHeaderBytes)),
+        net::ProtocolError);
+  }
+  std::remove(path.c_str());
+}
 
-  dataset::Reader reader(path);
-  be::TrajectoryBatch batch;
-  EXPECT_THROW(reader.next(batch), invariant_error);
+TEST(DatasetCodec, BlockLayoutIsPinnedAndSharedWithTheWire) {
+  // The format-v2 layout spelled out byte by byte (little-endian). A
+  // StreamWriter file is the header plus this block, and a BATCH payload
+  // is the block itself.
+  // nominal 0.5, realized 0.25, 2 shots.
+  const be::TrajectoryBatch batch =
+      make_batch(5, {{2, 1}}, {0x0123456789abcdefULL, 7}, 0.5);
+  const std::vector<unsigned char> expected = {
+      'P', 'T', 'S', 'B',                              // magic
+      0x02, 0x00, 0x00, 0x00,                          // version 2
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1 batch
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // spec_index 5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // nominal 0.5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,  // realized 0.25
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // shots 2
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1 branch
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   site 2
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   branch 1
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 2 records
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  //   0x0123456789abcdef
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   7
+  };
+  const std::string path = temp_path("layout");
+  {
+    dataset::StreamWriter writer(path);
+    writer.append(batch);
+  }
+  const std::string file = slurp(path);
+  EXPECT_EQ(file, std::string(expected.begin(), expected.end()));
+  EXPECT_EQ(net::encode_batch(batch), file.substr(dataset::kHeaderBytes));
   std::remove(path.c_str());
 }
 
