@@ -106,6 +106,9 @@ class ProtocolError : public runtime_failure {
 /// connection thread forever. Not thread-safe for concurrent reads or
 /// concurrent writes; one reader plus one writer thread is fine (sockets
 /// are full-duplex), which is exactly the server's streaming split.
+/// Construction sets TCP_NODELAY: every frame is written complete, so
+/// Nagle's coalescing would only hold a reply's later frames until the
+/// peer's delayed ACK.
 class FdStream {
  public:
   explicit FdStream(int fd, std::size_t max_payload = kDefaultMaxPayload,
@@ -124,7 +127,8 @@ class FdStream {
   /// input; runtime_failure on socket errors.
   ReadStatus read_frame(Frame& out);
 
-  /// Write one frame (handles partial sends; MSG_NOSIGNAL).
+  /// Write one frame: header and payload in one `sendmsg` without copying
+  /// the payload (handles partial sends and EINTR; MSG_NOSIGNAL).
   /// \throws runtime_failure when the peer is gone.
   void write_frame(const Frame& frame);
 
@@ -153,11 +157,12 @@ class FdStream {
 /// \throws ProtocolError on truncated, hostile-length or trailing bytes.
 [[nodiscard]] be::TrajectoryBatch decode_batch(std::string_view bytes);
 
-/// Serialise the pipeline configuration of `job` (strategy/backend/
-/// schedule/threads/seed + strategy-config knobs + fuse flag) as the
-/// `key=value` header lines of a SUBMIT payload, followed by the circuit
-/// text. `tenant`, `priority` and `stream_sink` ride elsewhere (frame args
-/// / server-side) and are not encoded.
+/// Serialise the pipeline configuration of `job` as the `key=value` header
+/// lines of a SUBMIT payload (`serve::write_job_fields`), followed by the
+/// `circuit` marker line and the circuit text. `tenant`, `priority` and
+/// `stream_sink` ride elsewhere (frame args / server-side) and are not
+/// encoded. \throws ProtocolError(errc::kParse) when a text field holds a
+/// newline.
 [[nodiscard]] std::string encode_submit_payload(const serve::JobRequest& job);
 
 /// Parse a SUBMIT payload back into a JobRequest (circuit_text + config,

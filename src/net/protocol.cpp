@@ -1,12 +1,14 @@
 #include "ptsbe/net/protocol.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -22,9 +24,8 @@ namespace {
 }
 
 // ---------------------------------------------------------------------------
-// key=value text codec helpers. Doubles use hexfloat (%a / strtod), which is
-// exact for every finite IEEE-754 value — the config a job ran under must not
-// drift through decimal formatting.
+// key=value text codec helpers for the RESULT and ERROR payloads (SUBMIT's
+// job-config lines are written by serve::write_job_fields).
 
 void put_kv(std::string& out, const char* key, const std::string& value) {
   out += key;
@@ -35,12 +36,6 @@ void put_kv(std::string& out, const char* key, const std::string& value) {
 
 void put_kv_u64(std::string& out, const char* key, std::uint64_t value) {
   put_kv(out, key, std::to_string(value));
-}
-
-void put_kv_f64(std::string& out, const char* key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", value);
-  put_kv(out, key, buf);
 }
 
 /// Split `text` into lines (without terminators), invoking `fn(line)` for
@@ -69,6 +64,9 @@ std::size_t for_each_line(std::string_view text, Fn&& fn) {
 FdStream::FdStream(int fd, std::size_t max_payload, int frame_timeout_ms)
     : fd_(fd), max_payload_(max_payload), frame_timeout_ms_(frame_timeout_ms) {
   PTSBE_REQUIRE(fd >= 0, "FdStream needs a connected socket");
+  // TCP_NODELAY: see the class comment. Fails harmlessly on a non-TCP fd.
+  const int one = 1;
+  (void)::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   buf_.reserve(4096);
 }
 
@@ -215,30 +213,44 @@ FdStream::ReadStatus FdStream::read_frame(Frame& out) {
 }
 
 void FdStream::write_frame(const Frame& frame) {
-  std::string wire = frame.type;
+  std::string header = frame.type;
   for (const std::string& arg : frame.args) {
-    wire += ' ';
-    wire += arg;
+    header += ' ';
+    header += arg;
   }
-  wire += ' ';
-  wire += std::to_string(frame.payload.size());
-  wire += '\n';
-  if (wire.size() > kMaxHeaderBytes) {
+  header += ' ';
+  header += std::to_string(frame.payload.size());
+  header += '\n';
+  if (header.size() > kMaxHeaderBytes) {
     throw ProtocolError(errc::kProtocol, "outgoing header exceeds " +
                                              std::to_string(kMaxHeaderBytes) +
                                              " bytes");
   }
-  wire += frame.payload;
 
-  std::size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n =
-        ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+  // Header and payload leave in one sendmsg, without copying the payload;
+  // a partial send advances through the two iovecs.
+  iovec iov[2] = {{header.data(), header.size()},
+                  {const_cast<char*>(frame.payload.data()),
+                   frame.payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_errno("send");
+      throw_errno("sendmsg");
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
 }
 
@@ -286,25 +298,7 @@ std::string encode_submit_payload(const serve::JobRequest& job) {
   reject_newlines("backend", job.backend);
 
   std::string out;
-  if (!job.source_name.empty()) put_kv(out, "source", job.source_name);
-  put_kv(out, "strategy", job.strategy);
-  put_kv(out, "backend", job.backend);
-  put_kv(out, "schedule", be::to_string(job.schedule));
-  put_kv_u64(out, "threads", job.threads);
-  put_kv_u64(out, "seed", job.seed);
-  put_kv_u64(out, "nsamples", job.strategy_config.nsamples);
-  put_kv_u64(out, "nshots", job.strategy_config.nshots);
-  put_kv(out, "merge", job.strategy_config.merge_duplicates ? "1" : "0");
-  put_kv_f64(out, "p_min", job.strategy_config.p_min);
-  put_kv_f64(out, "p_max", job.strategy_config.p_max);
-  put_kv_f64(out, "cutoff", job.strategy_config.probability_cutoff);
-  put_kv_u64(out, "max_results", job.strategy_config.max_results);
-  put_kv_u64(out, "total_shots", job.strategy_config.total_shots);
-  put_kv_f64(out, "boost", job.strategy_config.boost);
-  put_kv_u64(out, "radius", job.strategy_config.radius);
-  put_kv(out, "fuse", job.backend_config.fuse_gates ? "1" : "0");
-  put_kv_u64(out, "mps_max_bond", job.backend_config.mps.max_bond);
-  put_kv_f64(out, "mps_trunc", job.backend_config.mps.truncation_error);
+  serve::write_job_fields(job, out);
   out += "circuit\n";
   out += job.circuit_text;
   return out;

@@ -7,7 +7,8 @@
 /// Every job-config entry point parses through `set_job_field`, so each
 /// accepts the same keys with the same checks: SUBMIT payload lines (see
 /// ptsbe/net/protocol.hpp), `ptsbe_serve` job-file tokens and
-/// `net_client_demo --KEY VALUE` flags. The keys:
+/// `net_client_demo --KEY VALUE` flags, and `write_job_fields` is the one
+/// writer (SUBMIT's encoder). The keys:
 ///
 /// | key            | JobRequest field                          | value     |
 /// |----------------|-------------------------------------------|-----------|
@@ -37,6 +38,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <string_view>
 
 #include "ptsbe/common/error.hpp"
@@ -68,5 +70,11 @@ class JobConfigError : public runtime_failure {
 /// \throws JobConfigError for unknown keys and malformed values.
 void set_job_field(JobRequest& job, std::string_view key,
                    std::string_view value);
+
+/// Append every key of the table above as a `key=value\n` line, in table
+/// order, spelled so `set_job_field` reads each back exactly: u64 in
+/// decimal, f64 as hexfloat (`%a`), flags as `0|1`. `source` is omitted
+/// when empty. The caller checks text fields for newlines.
+void write_job_fields(const JobRequest& job, std::string& out);
 
 }  // namespace ptsbe::serve

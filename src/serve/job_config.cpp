@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -13,6 +14,29 @@ namespace {
                             std::string_view value) {
   throw JobConfigError("bad " + std::string(what) + " for '" +
                        std::string(key) + "': '" + std::string(value) + "'");
+}
+
+void put(std::string& out, const char* key, std::string_view value) {
+  out += key;
+  out += '=';
+  out += value;
+  out += '\n';
+}
+
+void put_u64(std::string& out, const char* key, std::uint64_t value) {
+  put(out, key, std::to_string(value));
+}
+
+// Hexfloat (%a) is exact for every finite IEEE-754 value: the config a job
+// ran under must not drift through decimal formatting.
+void put_f64(std::string& out, const char* key, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", value);
+  put(out, key, buf);
+}
+
+void put_flag(std::string& out, const char* key, bool value) {
+  put(out, key, value ? "1" : "0");
 }
 
 }  // namespace
@@ -95,6 +119,30 @@ void set_job_field(JobRequest& job, std::string_view key,
   } else {
     throw JobConfigError("unknown job-config key '" + std::string(key) + "'");
   }
+}
+
+void write_job_fields(const JobRequest& job, std::string& out) {
+  const pts::StrategyConfig& strategy = job.strategy_config;
+  const BackendConfig& backend = job.backend_config;
+  if (!job.source_name.empty()) put(out, "source", job.source_name);
+  put(out, "strategy", job.strategy);
+  put(out, "backend", job.backend);
+  put(out, "schedule", be::to_string(job.schedule));
+  put_u64(out, "threads", job.threads);
+  put_u64(out, "seed", job.seed);
+  put_u64(out, "nsamples", strategy.nsamples);
+  put_u64(out, "nshots", strategy.nshots);
+  put_flag(out, "merge", strategy.merge_duplicates);
+  put_f64(out, "p_min", strategy.p_min);
+  put_f64(out, "p_max", strategy.p_max);
+  put_f64(out, "cutoff", strategy.probability_cutoff);
+  put_u64(out, "max_results", strategy.max_results);
+  put_u64(out, "total_shots", strategy.total_shots);
+  put_f64(out, "boost", strategy.boost);
+  put_u64(out, "radius", strategy.radius);
+  put_flag(out, "fuse", backend.fuse_gates);
+  put_u64(out, "mps_max_bond", backend.mps.max_bond);
+  put_f64(out, "mps_trunc", backend.mps.truncation_error);
 }
 
 }  // namespace ptsbe::serve

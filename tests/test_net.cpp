@@ -10,10 +10,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -128,14 +132,19 @@ TEST(NetProtocol, BatchDecodeRejectsMalformedBytes) {
   EXPECT_THROW((void)net::decode_batch(hostile), net::ProtocolError);
 }
 
-TEST(NetProtocol, SubmitPayloadRoundTripsJobConfig) {
-  serve::JobRequest job = ghz_request(3);
+/// A job with every key of the job-config table (job_config.hpp) set to a
+/// non-default value, so a key the encoder drops cannot round-trip by luck.
+serve::JobRequest every_key_job() {
+  serve::JobRequest job;
+  job.circuit_text = ghz_ptq(3);
   job.source_name = "alice.ptq";
   job.strategy = "band";
   job.backend = "mps";
   job.schedule = be::Schedule::kSharedPrefix;
   job.threads = 3;
   job.seed = 0xdeadbeefcafeULL;
+  job.strategy_config.nsamples = 300;
+  job.strategy_config.nshots = 100;
   job.strategy_config.merge_duplicates = false;
   job.strategy_config.p_min = 1e-9;
   job.strategy_config.p_max = 0.3;
@@ -147,35 +156,124 @@ TEST(NetProtocol, SubmitPayloadRoundTripsJobConfig) {
   job.backend_config.fuse_gates = true;
   job.backend_config.mps.max_bond = 32;
   job.backend_config.mps.truncation_error = 3e-11;
+  return job;
+}
 
-  const serve::JobRequest back =
-      net::decode_submit_payload(net::encode_submit_payload(job));
-  EXPECT_EQ(back.circuit_text, job.circuit_text);
-  EXPECT_EQ(back.source_name, job.source_name);
-  EXPECT_EQ(back.strategy, job.strategy);
-  EXPECT_EQ(back.backend, job.backend);
-  EXPECT_EQ(back.schedule, job.schedule);
-  EXPECT_EQ(back.threads, job.threads);
-  EXPECT_EQ(back.seed, job.seed);
-  EXPECT_EQ(back.strategy_config.nsamples, job.strategy_config.nsamples);
-  EXPECT_EQ(back.strategy_config.nshots, job.strategy_config.nshots);
-  EXPECT_EQ(back.strategy_config.merge_duplicates,
-            job.strategy_config.merge_duplicates);
-  EXPECT_EQ(back.strategy_config.p_min, job.strategy_config.p_min);
-  EXPECT_EQ(back.strategy_config.p_max, job.strategy_config.p_max);
-  EXPECT_EQ(back.strategy_config.probability_cutoff,
-            job.strategy_config.probability_cutoff);
-  EXPECT_EQ(back.strategy_config.max_results,
-            job.strategy_config.max_results);
-  EXPECT_EQ(back.strategy_config.total_shots,
-            job.strategy_config.total_shots);
-  EXPECT_EQ(back.strategy_config.boost, job.strategy_config.boost);
-  EXPECT_EQ(back.strategy_config.radius, job.strategy_config.radius);
-  EXPECT_EQ(back.backend_config.fuse_gates, job.backend_config.fuse_gates);
-  EXPECT_EQ(back.backend_config.mps.max_bond,
-            job.backend_config.mps.max_bond);
-  EXPECT_EQ(back.backend_config.mps.truncation_error,
-            job.backend_config.mps.truncation_error);
+/// Field-for-field equality over the circuit text and every job-config key.
+void expect_same_job_config(const serve::JobRequest& a,
+                            const serve::JobRequest& b) {
+  EXPECT_EQ(a.circuit_text, b.circuit_text);
+  EXPECT_EQ(a.source_name, b.source_name);
+  EXPECT_EQ(a.strategy, b.strategy);
+  EXPECT_EQ(a.backend, b.backend);
+  EXPECT_EQ(a.schedule, b.schedule);
+  EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.strategy_config.nsamples, b.strategy_config.nsamples);
+  EXPECT_EQ(a.strategy_config.nshots, b.strategy_config.nshots);
+  EXPECT_EQ(a.strategy_config.merge_duplicates,
+            b.strategy_config.merge_duplicates);
+  EXPECT_EQ(a.strategy_config.p_min, b.strategy_config.p_min);
+  EXPECT_EQ(a.strategy_config.p_max, b.strategy_config.p_max);
+  EXPECT_EQ(a.strategy_config.probability_cutoff,
+            b.strategy_config.probability_cutoff);
+  EXPECT_EQ(a.strategy_config.max_results, b.strategy_config.max_results);
+  EXPECT_EQ(a.strategy_config.total_shots, b.strategy_config.total_shots);
+  EXPECT_EQ(a.strategy_config.boost, b.strategy_config.boost);
+  EXPECT_EQ(a.strategy_config.radius, b.strategy_config.radius);
+  EXPECT_EQ(a.backend_config.fuse_gates, b.backend_config.fuse_gates);
+  EXPECT_EQ(a.backend_config.mps.max_bond, b.backend_config.mps.max_bond);
+  EXPECT_EQ(a.backend_config.mps.truncation_error,
+            b.backend_config.mps.truncation_error);
+}
+
+TEST(NetProtocol, SubmitPayloadRoundTripsEveryJobConfigKey) {
+  const serve::JobRequest job = every_key_job();
+  const serve::JobRequest defaults;
+  EXPECT_NE(job.source_name, defaults.source_name);
+  EXPECT_NE(job.strategy, defaults.strategy);
+  EXPECT_NE(job.backend, defaults.backend);
+  EXPECT_NE(job.schedule, defaults.schedule);
+  EXPECT_NE(job.threads, defaults.threads);
+  EXPECT_NE(job.seed, defaults.seed);
+  EXPECT_NE(job.strategy_config.nsamples, defaults.strategy_config.nsamples);
+  EXPECT_NE(job.strategy_config.nshots, defaults.strategy_config.nshots);
+  EXPECT_NE(job.strategy_config.merge_duplicates,
+            defaults.strategy_config.merge_duplicates);
+  EXPECT_NE(job.strategy_config.p_min, defaults.strategy_config.p_min);
+  EXPECT_NE(job.strategy_config.p_max, defaults.strategy_config.p_max);
+  EXPECT_NE(job.strategy_config.probability_cutoff,
+            defaults.strategy_config.probability_cutoff);
+  EXPECT_NE(job.strategy_config.max_results,
+            defaults.strategy_config.max_results);
+  EXPECT_NE(job.strategy_config.total_shots,
+            defaults.strategy_config.total_shots);
+  EXPECT_NE(job.strategy_config.boost, defaults.strategy_config.boost);
+  EXPECT_NE(job.strategy_config.radius, defaults.strategy_config.radius);
+  EXPECT_NE(job.backend_config.fuse_gates, defaults.backend_config.fuse_gates);
+  EXPECT_NE(job.backend_config.mps.max_bond,
+            defaults.backend_config.mps.max_bond);
+  EXPECT_NE(job.backend_config.mps.truncation_error,
+            defaults.backend_config.mps.truncation_error);
+
+  expect_same_job_config(
+      net::decode_submit_payload(net::encode_submit_payload(job)), job);
+  expect_same_job_config(
+      net::decode_submit_payload(net::encode_submit_payload(defaults)),
+      defaults);
+}
+
+TEST(NetProtocol, SubmitPayloadWireBytesAreStable) {
+  // Protocol version 2's SUBMIT spelling, byte for byte: table order,
+  // decimal integers, hexfloat doubles, 0|1 flags, `source` only when set.
+  serve::JobRequest job = every_key_job();
+  job.circuit_text = "ptq 1\nqubits 1\n";
+  EXPECT_EQ(net::encode_submit_payload(job),
+            "source=alice.ptq\n"
+            "strategy=band\n"
+            "backend=mps\n"
+            "schedule=shared-prefix\n"
+            "threads=3\n"
+            "seed=244837814094590\n"
+            "nsamples=300\n"
+            "nshots=100\n"
+            "merge=0\n"
+            "p_min=0x1.12e0be826d695p-30\n"
+            "p_max=0x1.3333333333333p-2\n"
+            "cutoff=0x1.0c6f7a0b5ed8dp-22\n"
+            "max_results=17\n"
+            "total_shots=90001\n"
+            "boost=0x1.6p+1\n"
+            "radius=2\n"
+            "fuse=1\n"
+            "mps_max_bond=32\n"
+            "mps_trunc=0x1.07e1fe91b0b7p-35\n"
+            "circuit\n"
+            "ptq 1\nqubits 1\n");
+
+  serve::JobRequest defaults;
+  defaults.circuit_text = "x\n";
+  EXPECT_EQ(net::encode_submit_payload(defaults),
+            "strategy=probabilistic\n"
+            "backend=statevector\n"
+            "schedule=independent\n"
+            "threads=1\n"
+            "seed=25482208749\n"
+            "nsamples=100\n"
+            "nshots=1000\n"
+            "merge=1\n"
+            "p_min=0x0p+0\n"
+            "p_max=0x1p+0\n"
+            "cutoff=0x1.0c6f7a0b5ed8dp-20\n"
+            "max_results=0\n"
+            "total_shots=0\n"
+            "boost=0x1p+2\n"
+            "radius=1\n"
+            "fuse=0\n"
+            "mps_max_bond=0\n"
+            "mps_trunc=0x1.19799812dea11p-40\n"
+            "circuit\n"
+            "x\n");
 }
 
 TEST(NetProtocol, SubmitPayloadRejectsMalformedConfig) {
@@ -250,6 +348,134 @@ TEST(NetProtocol, ResultMetaAndErrorPayloadsRoundTrip) {
       net::decode_error(net::encode_error({"line one\nline two", 0, 0}));
   EXPECT_EQ(multi.message, "line one\nline two");
   EXPECT_EQ(multi.line, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// FdStream over a raw loopback TCP pair (no server).
+// ---------------------------------------------------------------------------
+
+/// Both ends of one loopback TCP connection, each owned by an FdStream
+/// with a short receive tick and a 5 s frame deadline, so a frame that
+/// never completes fails a test instead of hanging it. `sndbuf` > 0
+/// shrinks the connecting end's send buffer.
+struct LoopbackPair {
+  std::unique_ptr<net::FdStream> client;
+  std::unique_ptr<net::FdStream> server;
+};
+
+LoopbackPair loopback_pair(int sndbuf = 0) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof addr;
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr), len) != 0 ||
+      ::listen(listener, 1) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) !=
+          0) {
+    ::close(listener);
+    throw runtime_failure("loopback listen failed");
+  }
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (sndbuf > 0) {
+    (void)::setsockopt(client, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+  }
+  if (::connect(client, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) != 0) {
+    ::close(client);
+    ::close(listener);
+    throw runtime_failure("loopback connect failed");
+  }
+  const int server = ::accept(listener, nullptr, nullptr);
+  ::close(listener);
+  if (server < 0) {
+    ::close(client);
+    throw runtime_failure("loopback accept failed");
+  }
+  timeval tv{0, 100000};
+  (void)::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  (void)::setsockopt(server, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  constexpr int kFrameTimeoutMs = 5000;
+  return {std::make_unique<net::FdStream>(client, net::kDefaultMaxPayload,
+                                          kFrameTimeoutMs),
+          std::make_unique<net::FdStream>(server, net::kDefaultMaxPayload,
+                                          kFrameTimeoutMs)};
+}
+
+int tcp_nodelay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof value;
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) return -1;
+  return value;
+}
+
+TEST(NetFdStream, DisablesNagleOnBothEnds) {
+  // Each reply is several small frames; with Nagle on, frames 2..n wait
+  // for the peer's delayed ACK. The server wraps every accepted fd in an
+  // FdStream and the client wraps its connected fd, so this covers both.
+  const LoopbackPair pair = loopback_pair();
+  EXPECT_EQ(tcp_nodelay(pair.client->fd()), 1);
+  EXPECT_EQ(tcp_nodelay(pair.server->fd()), 1);
+}
+
+TEST(NetFdStream, MultiMiBFrameSurvivesPartialSends) {
+  // A blocking send returns short only when a signal interrupts it after
+  // some bytes are queued, so a kicker thread signals the writer while a
+  // small send buffer keeps it blocked: write_frame must advance its
+  // header and payload iovecs across many short (and EINTR) sendmsg calls.
+  struct sigaction action{};
+  struct sigaction previous{};
+  action.sa_handler = +[](int) {};  // no SA_RESTART
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  const LoopbackPair pair = loopback_pair(/*sndbuf=*/65536);
+  net::Frame sent;
+  sent.type = "BATCH";
+  sent.payload.resize(6u << 20);
+  for (std::size_t i = 0; i < sent.payload.size(); ++i) {
+    sent.payload[i] = static_cast<char>((i * 2654435761u) >> 13);
+  }
+
+  net::Frame received;
+  std::string read_error;
+  std::thread reader([&] {
+    try {
+      while (pair.server->read_frame(received) ==
+             net::FdStream::ReadStatus::kIdle) {
+      }
+    } catch (const std::exception& e) {
+      read_error = e.what();
+    }
+  });
+  std::atomic<bool> written{false};
+  const pthread_t writer = ::pthread_self();
+  std::thread kicker([&] {
+    while (!written.load()) {
+      (void)::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::string write_error;
+  try {
+    pair.client->write_frame(sent);
+  } catch (const std::exception& e) {
+    write_error = e.what();
+    pair.client->close();  // the reader sees EOF instead of waiting
+  }
+  written = true;
+  kicker.join();
+  reader.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &previous, nullptr), 0);
+
+  EXPECT_EQ(write_error, "");
+  EXPECT_EQ(read_error, "");
+
+  EXPECT_EQ(received.type, sent.type);
+  EXPECT_TRUE(received.args.empty());
+  ASSERT_EQ(received.payload.size(), sent.payload.size());
+  EXPECT_TRUE(received.payload == sent.payload);
 }
 
 // ---------------------------------------------------------------------------
